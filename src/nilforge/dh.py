@@ -365,12 +365,16 @@ def characteristic_check(p: int) -> CharacteristicReport:
     closed = all(_mat_mul_mod(m1, m2, p) in mats
                  for m1 in mats for m2 in mats)
     order = len(lifts)
-    p_power = order > 0 and p ** round(np.log(order) / np.log(p)) == order
+    rest = order
+    while rest > 1 and rest % p == 0:
+        rest //= p
+    p_power = rest == 1
     det_one = all(cand.det_residue == 1 for cand in lifts)
     shear = tuple(tuple(row) for row in ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     contains_shear = shear in mats
 
-    derived = subgroup_functors(q)["derived"]
+    functors = subgroup_functors(q)
+    derived = functors["derived"]
     x_img = q.generator_image(0)
     y_img = q.generator_image(1)
     h1 = SubgroupHandle(q, dense.closure(
@@ -379,7 +383,7 @@ def characteristic_check(p: int) -> CharacteristicReport:
         list(derived.indices) + [x_img.index(), y_img.index()]))
     h3 = SubgroupHandle(q, dense.closure(
         list(derived.indices) + [y_img.index()]))
-    center = subgroup_functors(q)["center"]
+    center = functors["center"]
     center_inside = (np.isin(center.indices, h1.indices).all()
                      and np.isin(center.indices, h2.indices).all())
 

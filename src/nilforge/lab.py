@@ -6,8 +6,11 @@ index arrays: per-generator translation tables, inverse and order arrays,
 and the projection onto the Frattini quotient.  Everything downstream -
 centers, closures, lower central series, maximal subgroups, and the
 exhaustive homomorphism searches - runs vectorized over those arrays.
-Tables are built from `FiniteQuotient.reduce`, and `consistency_check`
-cross-validates them against direct reduction.
+Tables are built with `FiniteQuotient.reduce_arrays`, which runs the
+collection and the rewriting for all elements at once on int64 arrays;
+each translation is checked to be a permutation of canonical indices, and
+`consistency_check` cross-validates the tables against symbolic
+`FiniteQuotient.reduce`, an independent code path.
 
 Enumeration output is deterministic: candidate tuples are scanned in
 lexicographic index order, so results do not depend on chunking.
@@ -15,6 +18,7 @@ lexicographic index order, so results do not depend on chunking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -60,24 +64,39 @@ class DenseGroup:
         self._exps = [
             (idx // st) % m for st, m in zip(self._strides, self._moduli)
         ]
+        # Every row is computed, and checked, before any slab is allocated,
+        # so the collector's temporaries never sit beside this group's slabs.
+        rows = [self._translation_row(s, idx) for s in self.pc_syms]
         self.slabs: list[np.ndarray] = []
-        for k, s in enumerate(self.pc_syms):
-            m = self._moduli[k]
+        for m, row in zip(self._moduli, rows):
             tab = np.empty((m, self.n), dtype=np.int64)
             tab[0] = idx
-            row = np.empty(self.n, dtype=np.int64)
-            for g in range(self.n):
-                vec = quotient.decode(g)
-                letters = [(i, e) for i, e in enumerate(vec) if e]
-                row[g] = quotient.reduce_letters(letters + [(s, 1)]).index()
-            if m > 1:
-                tab[1] = row
+            tab[1] = row
             for e in range(2, m):
                 tab[e] = row[tab[e - 1]]
             self.slabs.append(tab)
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._coords: np.ndarray | None = None
+
+    def _translation_row(self, s: int, idx: np.ndarray) -> np.ndarray:
+        """Index of g * s for every element index g, by array reduction."""
+        q = self.quotient
+        letters = list(zip(self.pc_syms, self._exps))
+        exps = q.reduce_arrays(letters + [(s, np.ones(self.n, dtype=np.int64))])
+        row = np.zeros(self.n, dtype=np.int64)
+        for t, e in enumerate(exps):
+            m = q.moduli[t]
+            if ((e < 0) | (e >= m)).any():
+                raise QuotientError(
+                    f"{q.label}: translation by {q.basis.symbols[s].name} "
+                    f"leaves exponents of {q.basis.symbols[t].name} outside [0, {m})")
+            if m > 1:
+                row += e * q._strides[t]
+        if not np.array_equal(np.sort(row), idx):
+            raise QuotientError(f"{q.label}: translation by "
+                                f"{q.basis.symbols[s].name} is not a permutation")
+        return row
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -104,7 +123,9 @@ class DenseGroup:
             for val in np.unique(o):
                 sel = o == val
                 inv[sel] = self.power(idx[sel], int(val) - 1)
-            assert (self.mult(idx, inv) == 0).all()
+            if not (self.mult(idx, inv) == 0).all():
+                raise QuotientError(
+                    f"inverse table of {self.quotient.label} is inconsistent")
             self._inv = inv
         return self._inv
 
@@ -555,6 +576,21 @@ def _relator_masks(source: FiniteQuotient, dtgt: DenseGroup,
     return ok
 
 
+def _image_candidates(G: FiniteQuotient, H: FiniteQuotient) -> list[np.ndarray] | None:
+    """Per ambient generator, the indices of H with the order of its image
+    in G; None when orders or Frattini ranks already rule out isomorphism."""
+    if G.order != H.order:
+        return None
+    if G.order > _SEARCH_BOUND:
+        raise QuotientError("exhaustive search bound exceeded")
+    dG = dense_group(G)
+    dH = dense_group(H)
+    if dG.frattini_dim != dH.frattini_dim:
+        return None
+    return [np.flatnonzero(dH.orders == dG.orders[g]).astype(np.int64)
+            for g in dG.gen_indices()]
+
+
 def all_isomorphisms(G: FiniteQuotient, H: FiniteQuotient) -> Iterator[Homomorphism]:
     """All isomorphisms G -> H as generator-image tuples, in lexicographic
     order of target element indices.
@@ -563,23 +599,12 @@ def all_isomorphisms(G: FiniteQuotient, H: FiniteQuotient) -> Iterator[Homomorph
     the generator images in G) and by surjectivity onto the Frattini
     quotient; the relator check then decides exactly.
     """
-    if G.order != H.order:
+    cands = _image_candidates(G, H)
+    if cands is None or any(c.size == 0 for c in cands):
         return
-    if G.order > _SEARCH_BOUND:
-        raise QuotientError("exhaustive search bound exceeded")
-    dG = dense_group(G)
     dH = dense_group(H)
-    if dG.frattini_dim != dH.frattini_dim:
-        return
     p = dH.p
     d = dH.frattini_dim
-    rank = G.basis.rank
-    gen_orders = [int(dG.orders[g]) for g in dG.gen_indices()]
-    cands = []
-    for o in gen_orders:
-        cands.append(np.flatnonzero(dH.orders == o).astype(np.int64))
-    if any(c.size == 0 for c in cands):
-        return
     coordsH = dH.coords
     last = cands[-1]
     for prefix in product(*(map(int, c) for c in cands[:-1])):
@@ -616,28 +641,22 @@ def isomorphism_det_scan(G: FiniteQuotient, H: FiniteQuotient) -> IsoScanSummary
     """Exhaustive isomorphism scan that only accumulates the determinant
     residues of the induced Frattini matrices.  Same enumeration as
     `all_isomorphisms`, vectorized for two-generated quotients."""
-    if G.order != H.order:
+    cands = _image_candidates(G, H)
+    if cands is None:
         return IsoScanSummary(0, 0, ())
-    if G.order > _SEARCH_BOUND:
-        raise QuotientError("exhaustive search bound exceeded")
-    dG = dense_group(G)
     dH = dense_group(H)
-    if dG.frattini_dim != dH.frattini_dim:
-        return IsoScanSummary(0, 0, ())
-    d = dH.frattini_dim
-    if d != 2 or G.basis.rank != 2:
+    if dH.frattini_dim != 2 or G.basis.rank != 2:
+        # all_isomorphisms scans every tuple of order-matching candidates
+        checked = math.prod(c.size for c in cands)
         dets = set()
-        seen = 0
         found = 0
         for phi in all_isomorphisms(G, H):
             found += 1
             dets.add(induced_frattini_matrix(phi).det)
-        return IsoScanSummary(found, found, tuple(sorted(dets)))
+        return IsoScanSummary(checked, found, tuple(sorted(dets)))
     p = dH.p
     coordsH = dH.coords
-    gen_orders = [int(dG.orders[g]) for g in dG.gen_indices()]
-    cand_x = np.flatnonzero(dH.orders == gen_orders[0]).astype(np.int64)
-    cand_y = np.flatnonzero(dH.orders == gen_orders[1]).astype(np.int64)
+    cand_x, cand_y = cands
     checked = 0
     found = 0
     dets: set[int] = set()

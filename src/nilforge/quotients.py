@@ -15,6 +15,9 @@ Canonical representatives are exponent vectors with each entry in
 maps any element onto its representative by fixpoint rewriting, which only
 ever multiplies by members of the normal closure, so cosets are preserved
 by construction and correctness is then attested by `consistency_check`.
+`FiniteQuotient.reduce_arrays` is the same rewriting for many words at once,
+on int64 exponent arrays: powers of tails are evaluated as Newton series in
+the exponent, and an exponent reaching 2^20 raises instead of wrapping.
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .hall import (
     BasisError,
     FreeNilElement,
     NilpotentBasis,
+    _bounded,
+    _collect_arrays,
     _collect_letters,
     builtin_basis,
     collect,
@@ -332,6 +339,93 @@ def _tail_power_letters(tail, q, s, m, cache):
     return got
 
 
+# -- array form of the rewriting, used to build dense tables -------------------
+
+def _newton_series(basis, tail: FreeNilElement):
+    """The exponents of ``tail^k`` as Newton series in k.
+
+    In class c every exponent of ``tail^k`` is a polynomial in k of degree
+    at most c, so it equals ``sum_j C(k, j) * d_j`` with d_j the j-th
+    forward difference of ``power(tail, k)`` at k = 0..c.  Returns the pairs
+    (symbol, (d_0, ..., d_c)) with a nonzero series, after checking the
+    evaluation against `power` at k = -2, -1 and c + 1.
+    """
+    c = basis.nilpotency_class
+    values = [power(tail, k).exponents for k in range(c + 1)]
+    series = []
+    for t in range(basis.size):
+        col = [v[t] for v in values]
+        diffs = []
+        for _ in range(c + 1):
+            diffs.append(col[0])
+            col = [b - a for a, b in zip(col, col[1:])]
+        if any(diffs):
+            series.append((t, tuple(diffs)))
+    probe = np.array([-2, -1, c + 1], dtype=np.int64)
+    got = dict(_newton_letters(series, probe))
+    for i, k in enumerate(probe.tolist()):
+        want = power(tail, k).exponents
+        if any((int(got[t][i]) if t in got else 0) != w
+               for t, w in enumerate(want)):
+            raise QuotientError(f"powers of the tail {tail!r} are not "
+                                "polynomial in the exponent")
+    return tuple(series)
+
+
+def _newton_letters(series, k: np.ndarray):
+    """Letters ``(symbol, exponents)`` of ``tail^k`` for an exponent array."""
+    binoms = [np.ones_like(k)]
+    if series:
+        _bounded(k)
+        for j in range(1, len(series[0][1])):
+            # C(k, j) = C(k, j-1) * (k - j + 1) / j, exact; below 2^60
+            binoms.append(binoms[-1] * (k - (j - 1)) // j)
+    for t, diffs in series:
+        acc = np.zeros_like(k)
+        for b, d in zip(binoms, diffs):
+            if d:
+                if int(np.abs(b).max()) * abs(d) >= 1 << 60:
+                    raise OverflowError("tail power exponent reached 2^60")
+                acc = acc + b * d
+        yield t, acc
+
+
+def _emit_arrays(q, s, e, out, depth) -> bool:
+    """`_emit` for the letter ``s^e`` with an exponent array: appends the
+    reduction of every entry and returns whether any entry was rewritten."""
+    if not e.any():
+        return False
+    if depth > 40:
+        raise QuotientError("substitution chains did not stabilize")
+    m = q.moduli[s]
+    if m == 1:
+        k = e
+    else:
+        k, rem = np.divmod(e, m)
+        if rem.any():
+            out.append((s, rem))
+        if not k.any():
+            return False
+    for t, kt in _newton_letters(q._newton()[s], k):
+        _emit_arrays(q, t, kt, out, depth + 1)
+    return True
+
+
+def _rewrite_arrays(q, exps, size):
+    # Entries already at their fixpoint pass through further rounds
+    # unchanged, so the rounds run until no entry changes.
+    for _ in range(_REWRITE_CAP):
+        letters: list = []
+        changed = False
+        for s, e in enumerate(exps):
+            if _emit_arrays(q, s, e, letters, 0):
+                changed = True
+        if not changed:
+            return exps
+        exps = _collect_arrays(q.basis, letters, size)
+    raise QuotientError("rewriting did not reach a fixpoint")
+
+
 def make_quotient(relset: RelatorSet) -> "FiniteQuotient":
     basis = relset.basis
     builder = _Builder(relset)
@@ -489,6 +583,13 @@ class FiniteQuotient:
             (self.moduli[s], FreeNilElement(self.basis, self.tails[s]))
             for s in range(self.basis.size))
         self._tailpow.clear()
+        self._newton_cache = None
+
+    def _newton(self):
+        if self._newton_cache is None:
+            self._newton_cache = tuple(
+                _newton_series(self.basis, tail) for _m, tail in self._rules)
+        return self._newton_cache
 
     # -- prime of a p-group quotient ----------------------------------------
 
@@ -518,6 +619,29 @@ class FiniteQuotient:
     def reduce_letters(self, letters) -> PcElement:
         elem = FreeNilElement(self.basis, _collect_letters(self.basis, letters))
         return self.reduce(elem)
+
+    def reduce_arrays(self, letters) -> list[np.ndarray]:
+        """`reduce_letters` for many words at once.
+
+        ``letters`` are ``(symbol, exponents)`` pairs whose exponents are
+        int64 arrays of one length; entry i of the returned per-symbol
+        arrays is the canonical vector of the word made of entry i of every
+        letter.  Raises QuotientError when rewriting runs away or an
+        exponent reaches 2^20 on its way into a product or a sum.
+        """
+        letters = [(int(s), np.asarray(e, dtype=np.int64)) for s, e in letters]
+        if not letters or any(e.ndim != 1 or e.shape != letters[0][1].shape
+                              for _s, e in letters):
+            raise QuotientError("letters need 1-D exponent arrays of one length")
+        size = letters[0][1].size
+        for s, _e in letters:
+            if not 0 <= s < self.basis.size:
+                raise BasisError(f"letter index {s} invalid for basis {self.basis.name}")
+        try:
+            exps = _collect_arrays(self.basis, letters, size)
+            return _rewrite_arrays(self, exps, size)
+        except OverflowError as ex:
+            raise QuotientError(f"array reduction in {self.label}: {ex}") from ex
 
     def membership(self, elem: FreeNilElement) -> bool:
         return self.reduce(elem).is_identity()
@@ -686,19 +810,13 @@ def consistency_check(q: FiniteQuotient, seed: int = 0,
     """
     import random
 
-    import numpy as np
-
-    from .lab import dense_group
-
     rng = random.Random(seed)
     rep = ConsistencyReport(q.label, q.order)
-    n = q.order
-    basis = q.basis
 
     prod = 1
     for m in q.moduli:
         prod *= m
-    rep.record("order-is-modulus-product", prod == n, f"{prod} vs {n}")
+    rep.record("order-is-modulus-product", prod == q.order, f"{prod} vs {q.order}")
 
     try:
         return _consistency_body(q, rng, rep, pair_samples, triple_samples)
@@ -708,10 +826,6 @@ def consistency_check(q: FiniteQuotient, seed: int = 0,
 
 
 def _consistency_body(q, rng, rep, pair_samples, triple_samples):
-    import random
-
-    import numpy as np
-
     from .lab import dense_group
 
     n = q.order

@@ -1,0 +1,95 @@
+"""The array collector and array reduction behind the dense tables, checked
+against the symbolic engine they replace."""
+
+import random
+
+import numpy as np
+import pytest
+
+from nilforge.hall import _collect_arrays, _collect_letters, builtin_basis
+from nilforge.lab import DenseGroup
+from nilforge.quotients import FiniteQuotient, QuotientError, standard_quotient
+
+
+def symbolic_rows(q):
+    """Rows as the tables used to be made: one symbolic reduction per element."""
+    rows = []
+    for s in q.pc_symbols:
+        row = np.empty(q.order, dtype=np.int64)
+        for g in range(q.order):
+            letters = [(i, e) for i, e in enumerate(q.decode(g)) if e]
+            row[g] = q.reduce_letters(letters + [(s, 1)]).index()
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kind,p,r", [
+    ("N_r", 5, 1), ("N_r", 5, 4), ("K", 5, None), ("M", 5, None),
+    ("N_r", 7, 1), ("N_r", 7, 6), ("K", 7, None), ("M", 7, None),
+    ("DH_M_r", 5, 1),
+])
+def test_dense_rows_match_symbolic_reduce(kind, p, r):
+    q = standard_quotient(kind, p, r)
+    dense = DenseGroup(q)
+    rows = symbolic_rows(q)
+    assert len(rows) == len(dense.slabs)
+    for slab, row in zip(dense.slabs, rows):
+        assert np.array_equal(slab[1], row)
+
+
+def random_words(rng, basis, count, length, bound):
+    """``count`` words sharing one symbol sequence, as array letters, and
+    the same words entry by entry; about a third of the exponents are 0."""
+    syms = [rng.randrange(basis.size) for _ in range(length)]
+    exps = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(count)]
+            for _ in syms]
+    arrays = [(s, np.array(col, dtype=np.int64)) for s, col in zip(syms, exps)]
+    words = [[(s, col[i]) for s, col in zip(syms, exps)] for i in range(count)]
+    return arrays, words
+
+
+@pytest.mark.parametrize("name", ["F23", "F32"])
+def test_array_collector_matches_symbolic(name):
+    basis = builtin_basis(name)
+    rng = random.Random(11)
+    for _ in range(60):
+        arrays, words = random_words(rng, basis, 40, rng.randint(1, 9), 12)
+        got = _collect_arrays(basis, arrays, 40)
+        for i, word in enumerate(words):
+            want = _collect_letters(basis, word)
+            assert tuple(int(col[i]) for col in got) == want
+
+
+@pytest.mark.parametrize("kind,p,r", [
+    ("N_r", 5, 2), ("K", 7, None), ("DH_M_r", 5, 3),
+])
+def test_array_reduction_matches_reduce_letters(kind, p, r):
+    q = standard_quotient(kind, p, r)
+    rng = random.Random(5)
+    for _ in range(20):
+        arrays, words = random_words(rng, q.basis, 30, rng.randint(1, 7), 60)
+        got = q.reduce_arrays(arrays)
+        for i, word in enumerate(words):
+            want = q.reduce_letters([(s, e) for s, e in word if e]).vector
+            assert tuple(int(col[i]) for col in got) == want
+
+
+def test_exponent_bound_raises():
+    q = standard_quotient("N_r", 5, 2)
+    ones = np.ones(3, dtype=np.int64)
+    # x^(2^20 - 1) * y is collected already; only divmod touches it
+    below = q.reduce_arrays([(0, ones * ((1 << 20) - 1)), (1, ones)])
+    assert below[0].tolist() == [((1 << 20) - 1) % 25] * 3
+    # y * x^(2^20): the swap forms products of the exponents
+    with pytest.raises(QuotientError, match="2\\^20"):
+        q.reduce_arrays([(1, ones), (0, ones << 20)])
+
+
+def test_dense_group_rejects_divergent_corruption():
+    good = standard_quotient("N_r", 5, 2)
+    bad_tails = list(good.tails)
+    bad_tails[3] = (7, 0, 1, 0, 0)  # powers regenerate [y,x,x] forever
+    bad = FiniteQuotient(good.basis, good.relator_set, good.moduli,
+                         tuple(bad_tails))
+    with pytest.raises(QuotientError):
+        DenseGroup(bad)

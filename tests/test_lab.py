@@ -7,6 +7,7 @@ from nilforge.hall import builtin_basis, power
 from nilforge.lab import (
     FrattiniMatrix,
     Homomorphism,
+    IsoScanSummary,
     all_isomorphisms,
     automorphism_count,
     dense_group,
@@ -249,6 +250,17 @@ def test_det_scan_matches_object_path():
     assert scan.isomorphisms_found == len(objs)
     assert set(scan.det_residues) == {
         induced_frattini_matrix(phi).det for phi in objs}
+
+
+def test_det_scan_counts_scanned_tuples_off_rank_two():
+    # C2^3 takes the generic path: 7 involutions per generator, 7^3 tuples
+    F32 = builtin_basis("F32")
+    x, y, z = F32.gens()
+    q = make_quotient(RelatorSet(F32, (
+        power(x, 2), power(y, 2), power(z, 2),
+        F32.generator(3), F32.generator(4), F32.generator(5)), "C2^3"))
+    assert q.order == 8
+    assert isomorphism_det_scan(q, q) == IsoScanSummary(343, 168, (1,))
 
 
 def test_homomorphism_apply_and_compose():
