@@ -107,7 +107,7 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
         for r, q in quots.items():
             ms = lab.maximal_subgroups(q)
             abelians = [m for m in ms if m.is_abelian]
-            dense = lab.dense_group(q)
+            dense = q.dense
             m_img = dense.normal_closure(
                 [q.reduce(power(basis.generator(0), p)).index(),
                  q.reduce(basis.generator(1)).index()])
@@ -160,7 +160,7 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
 
     def claim_power_lemma():
         rng = random.Random(f"{config.seed}|{p}|power")
-        dense = lab.dense_group(K)
+        dense = K.dense
         y_idx = K.reduce(builtin_basis("F23").generator(1)).index()
         ncl = dense.normal_closure([y_idx])
         holds = 0

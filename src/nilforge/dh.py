@@ -27,7 +27,6 @@ from .lab import (
     Homomorphism,
     SubgroupHandle,
     _relator_masks,
-    dense_group,
     subgroup_functors,
 )
 from .quotients import FiniteQuotient, QuotientError, standard_quotient
@@ -140,9 +139,6 @@ def _monomial_indices(q: FiniteQuotient) -> tuple[np.ndarray, np.ndarray]:
     return idxs, triples
 
 
-_SEARCH_CACHE: dict[tuple, tuple[MatrixLiftCandidate, ...]] = {}
-
-
 def matrix_lift_search(p: int, r: int, s: int,
                        det_filter: str = "all") -> list[MatrixLiftCandidate]:
     """All invertible matrices over F_p whose monomial lift carries every
@@ -154,13 +150,8 @@ def matrix_lift_search(p: int, r: int, s: int,
         raise ValueError("det_filter must be 'all' or 'pm1'")
     if p > 7:
         raise QuotientError("matrix search is sized for p <= 7")
-    key = (p, r, s, det_filter)
-    cached = _SEARCH_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-
     target = standard_quotient("DH_M_r", p, s)
-    dT = dense_group(target)
+    dT = target.dense
     mono, triples = _monomial_indices(target)
     n3 = mono.size
 
@@ -212,7 +203,6 @@ def matrix_lift_search(p: int, r: int, s: int,
             out.append(MatrixLiftCandidate(
                 p, matrix, int(det[v, w]),
                 tuple(tuple(int(e) for e in col) for col in cols)))
-    _SEARCH_CACHE[key] = tuple(out)
     return out
 
 
@@ -222,7 +212,7 @@ def candidate_transports(cand: MatrixLiftCandidate, r: int, s: int) -> bool:
     p = cand.p
     source = standard_quotient("DH_M_r", p, r)
     target = standard_quotient("DH_M_r", p, s)
-    dT = dense_group(target)
+    dT = target.dense
     imgs = []
     for col in cand.images:
         vec = [0] * target.basis.size
@@ -241,7 +231,7 @@ def central_correction_invariance(p: int, r: int, s: int, samples: int = 200,
     rng = random.Random(seed)
     source = standard_quotient("DH_M_r", p, r)
     target = standard_quotient("DH_M_r", p, s)
-    dT = dense_group(target)
+    dT = target.dense
     center = dT.center_indices()
     mono, _triples = _monomial_indices(target)
     n3 = mono.size
@@ -359,7 +349,7 @@ def characteristic_check(p: int) -> CharacteristicReport:
     if p not in (5, 7):
         raise ValueError("characteristic check is certified for p in {5, 7}")
     q = standard_quotient("DH_M_r", p, 1)
-    dense = dense_group(q)
+    dense = q.dense
     lifts = matrix_lift_search(p, 1, 1, det_filter="all")
     mats = {cand.matrix for cand in lifts}
     closed = all(_mat_mul_mod(m1, m2, p) in mats

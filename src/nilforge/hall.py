@@ -553,7 +553,7 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.entries))}, det={self.det})"
 
 
-def _det(rows: tuple[tuple[int, ...], ...]) -> int:
+def _det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1

@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hall import FreeNilElement
+from .hall import FreeNilElement, _det
 from .quotients import FiniteQuotient, PcElement, QuotientError
 
 __all__ = [
     "DenseGroup",
-    "dense_group",
     "SubgroupHandle",
     "Homomorphism",
     "FrattiniMatrix",
@@ -75,9 +75,6 @@ class DenseGroup:
             for e in range(2, m):
                 tab[e] = row[tab[e - 1]]
             self.slabs.append(tab)
-        self._inv: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
-        self._coords: np.ndarray | None = None
 
     def _translation_row(self, s: int, idx: np.ndarray) -> np.ndarray:
         """Index of g * s for every element index g, by array reduction."""
@@ -114,20 +111,18 @@ class DenseGroup:
             out = self.slabs[k][e, out]
         return out if shape else int(out)
 
-    @property
+    @cached_property
     def inv(self) -> np.ndarray:
-        if self._inv is None:
-            o = self.orders
-            inv = np.zeros(self.n, dtype=np.int64)
-            idx = np.arange(self.n, dtype=np.int64)
-            for val in np.unique(o):
-                sel = o == val
-                inv[sel] = self.power(idx[sel], int(val) - 1)
-            if not (self.mult(idx, inv) == 0).all():
-                raise QuotientError(
-                    f"inverse table of {self.quotient.label} is inconsistent")
-            self._inv = inv
-        return self._inv
+        o = self.orders
+        inv = np.zeros(self.n, dtype=np.int64)
+        idx = np.arange(self.n, dtype=np.int64)
+        for val in np.unique(o):
+            sel = o == val
+            inv[sel] = self.power(idx[sel], int(val) - 1)
+        if not (self.mult(idx, inv) == 0).all():
+            raise QuotientError(
+                f"inverse table of {self.quotient.label} is inconsistent")
+        return inv
 
     def power(self, a, e: int):
         aa = np.asarray(a, dtype=np.int64)
@@ -145,23 +140,20 @@ class DenseGroup:
                 base = self.mult(base, base)
         return int(res) if scalar else res
 
-    @property
+    @cached_property
     def orders(self) -> np.ndarray:
-        if self._orders is None:
-            o = np.ones(self.n, dtype=np.int64)
-            cur = np.arange(self.n, dtype=np.int64)
-            guard = 0
-            while True:
-                alive = cur != 0
-                if not alive.any():
-                    break
-                cur = np.where(alive, self.power(cur, self.p), 0)
-                o[alive] *= self.p
-                guard += 1
-                if guard > 64:  # pragma: no cover
-                    raise QuotientError("element order computation ran away")
-            self._orders = o
-        return self._orders
+        o = np.ones(self.n, dtype=np.int64)
+        cur = np.arange(self.n, dtype=np.int64)
+        guard = 0
+        while True:
+            alive = cur != 0
+            if not alive.any():
+                return o
+            cur = np.where(alive, self.power(cur, self.p), 0)
+            o[alive] *= self.p
+            guard += 1
+            if guard > 64:  # pragma: no cover
+                raise QuotientError("element order computation ran away")
 
     def comm(self, a, b):
         ia = self.inv[np.asarray(a, dtype=np.int64)]
@@ -183,27 +175,25 @@ class DenseGroup:
 
     # -- Frattini projection -----------------------------------------------------
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
         """Projection onto the Frattini quotient: per element, the exponents
         of the non-eliminated weight-1 symbols mod p.  The kernel is checked
         against the computed Frattini subgroup once per group."""
-        if self._coords is None:
-            q = self.quotient
-            w1 = [s for s in self.pc_syms if s < q.basis.rank]
-            cols = [self._exps[self.pc_syms.index(s)] % self.p for s in w1]
-            coords = (np.stack(cols, axis=1) if cols
-                      else np.zeros((self.n, 0), dtype=np.int64))
-            self._coords = coords.astype(np.int64)
-            self._check_frattini_kernel()
-        return self._coords
+        q = self.quotient
+        w1 = [s for s in self.pc_syms if s < q.basis.rank]
+        cols = [self._exps[self.pc_syms.index(s)] % self.p for s in w1]
+        coords = (np.stack(cols, axis=1) if cols
+                  else np.zeros((self.n, 0), dtype=np.int64))
+        coords = coords.astype(np.int64)
+        self._check_frattini_kernel(coords)
+        return coords
 
     @property
     def frattini_dim(self) -> int:
         return self.coords.shape[1]
 
-    def _check_frattini_kernel(self) -> None:
-        coords = self._coords
+    def _check_frattini_kernel(self, coords: np.ndarray) -> None:
         claimed = np.flatnonzero((coords % self.p == 0).all(axis=1))
         gens = self.gen_indices()
         pows = np.unique(self.power(np.arange(self.n, dtype=np.int64), self.p))
@@ -247,31 +237,33 @@ class DenseGroup:
             mask &= self.mult(idx, g) == self.mult(g, idx)
         return np.flatnonzero(mask)
 
-
-_DENSE_CACHE: dict[int, DenseGroup] = {}
-
-
-def dense_group(q: FiniteQuotient) -> DenseGroup:
-    got = _DENSE_CACHE.get(id(q))
-    if got is None or got.quotient is not q:
-        got = DenseGroup(q)
-        _DENSE_CACHE[id(q)] = got
-    return got
+    @cached_property
+    def series(self) -> SeriesInvariants:
+        """Order, exponent, class and lower central series orders."""
+        n = self.n
+        exponent = int(self.orders.max()) if n > 1 else 1
+        gens = np.asarray(self.gen_indices(), dtype=np.int64)
+        gamma = np.arange(n, dtype=np.int64)
+        lcs = [n]
+        while gamma.size > 1:
+            comms = np.unique(self.comm(gamma[:, None], gens[None, :]))
+            nxt = self.normal_closure(list(comms))
+            if nxt.size == gamma.size:  # pragma: no cover - not nilpotent
+                raise QuotientError("lower central series does not descend")
+            gamma = nxt
+            lcs.append(int(gamma.size))
+        return SeriesInvariants(n, exponent, len(lcs) - 1, tuple(lcs))
 
 
 class SubgroupHandle:
     """A subgroup of a finite quotient, materialized as an index set."""
 
-    def __init__(self, parent: FiniteQuotient, indices: np.ndarray,
-                 generators: list[PcElement] | None = None):
+    def __init__(self, parent: FiniteQuotient, indices: np.ndarray):
         self.parent = parent
         self.indices = np.unique(np.asarray(indices, dtype=np.int64))
-        self._dense = dense_group(parent)
+        self._dense = parent.dense
         if self.indices.size > _SCAN_BOUND:
             raise QuotientError("subgroup too large to materialize")
-        self._gens = generators
-        self._abelian: bool | None = None
-        self._normal: bool | None = None
 
     @property
     def order(self) -> int:
@@ -284,46 +276,38 @@ class SubgroupHandle:
         pos = np.searchsorted(self.indices, idx)
         return pos < self.indices.size and self.indices[pos] == idx
 
-    @property
+    @cached_property
     def generators(self) -> list[PcElement]:
-        if self._gens is None:
-            dense = self._dense
-            chosen: list[int] = []
-            have = np.array([0], dtype=np.int64)
-            for idx in self.indices:
-                if not np.isin(idx, have):
-                    chosen.append(int(idx))
-                    have = dense.closure(chosen)
-            self._gens = [dense.element(i) for i in chosen]
-        return self._gens
+        dense = self._dense
+        chosen: list[int] = []
+        have = np.array([0], dtype=np.int64)
+        for idx in self.indices:
+            if not np.isin(idx, have):
+                chosen.append(int(idx))
+                have = dense.closure(chosen)
+        return [dense.element(i) for i in chosen]
 
     def elements(self) -> frozenset[PcElement]:
         return frozenset(self._dense.element(i) for i in self.indices)
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            dense = self._dense
-            S = self.indices
-            ok = True
-            chunk = max(1, 4_000_000 // max(S.size, 1))
-            for start in range(0, S.size, chunk):
-                blk = S[start:start + chunk]
-                if not (dense.mult(blk[:, None], S[None, :])
-                        == dense.mult(S[None, :], blk[:, None])).all():
-                    ok = False
-                    break
-            self._abelian = ok
-        return self._abelian
+        dense = self._dense
+        S = self.indices
+        chunk = max(1, 4_000_000 // max(S.size, 1))
+        for start in range(0, S.size, chunk):
+            blk = S[start:start + chunk]
+            if not (dense.mult(blk[:, None], S[None, :])
+                    == dense.mult(S[None, :], blk[:, None])).all():
+                return False
+        return True
 
-    @property
+    @cached_property
     def is_normal(self) -> bool:
-        if self._normal is None:
-            dense = self._dense
-            gens = np.asarray(dense.gen_indices(), dtype=np.int64)
-            conj = np.unique(dense.conj(self.indices[:, None], gens[None, :]))
-            self._normal = bool(np.isin(conj, self.indices).all())
-        return self._normal
+        dense = self._dense
+        gens = np.asarray(dense.gen_indices(), dtype=np.int64)
+        conj = np.unique(dense.conj(self.indices[:, None], gens[None, :]))
+        return bool(np.isin(conj, self.indices).all())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubgroupHandle)
@@ -341,7 +325,7 @@ def subgroup_functors(q: FiniteQuotient) -> dict[str, SubgroupHandle]:
     """Center, derived subgroup, and the subgroup of p-th powers."""
     if q.order > _SCAN_BOUND:
         raise QuotientError("group too large for element scans")
-    dense = dense_group(q)
+    dense = q.dense
     center = SubgroupHandle(q, dense.center_indices())
     gens = dense.gen_indices()
     comms = [int(dense.comm(a, b)) for a, b in combinations(gens, 2)]
@@ -359,37 +343,16 @@ class SeriesInvariants:
     lower_central_orders: tuple[int, ...]
 
 
-_SERIES_CACHE: dict[int, SeriesInvariants] = {}
-
-
 def series_invariants(q: FiniteQuotient) -> SeriesInvariants:
-    cached = _SERIES_CACHE.get(id(q))
-    if cached is not None:
-        return cached
     if q.order > _SCAN_BOUND:
         raise QuotientError("group too large for element scans")
-    dense = dense_group(q)
-    exponent = int(dense.orders.max()) if q.order > 1 else 1
-    gens = np.asarray(dense.gen_indices(), dtype=np.int64)
-    gamma = np.arange(q.order, dtype=np.int64)
-    lcs = [q.order]
-    while gamma.size > 1:
-        comms = np.unique(dense.comm(gamma[:, None], gens[None, :]))
-        nxt = dense.normal_closure(list(comms))
-        if nxt.size == gamma.size:  # pragma: no cover - not nilpotent
-            raise QuotientError("lower central series does not descend")
-        gamma = nxt
-        lcs.append(int(gamma.size))
-    nil_class = len(lcs) - 1
-    out = SeriesInvariants(q.order, exponent, nil_class, tuple(lcs))
-    _SERIES_CACHE[id(q)] = out
-    return out
+    return q.dense.series
 
 
 def maximal_subgroups(q: FiniteQuotient) -> list[SubgroupHandle]:
     """The maximal subgroups: preimages of the hyperplanes of the Frattini
     quotient, one per normalized covector, (p^d - 1)/(p - 1) in total."""
-    dense = dense_group(q)
+    dense = q.dense
     coords = dense.coords
     d = dense.frattini_dim
     p = dense.p
@@ -413,22 +376,7 @@ class FrattiniMatrix:
 
     @property
     def det(self) -> int:
-        n = len(self.entries)
-        if n == 0:
-            return 1 % self.p
-        if n == 1:
-            return self.entries[0][0] % self.p
-        if n == 2:
-            (a, b), (c, d) = self.entries
-            return (a * d - b * c) % self.p
-        total = 0
-        rows = self.entries
-        for j in range(n):
-            minor = FrattiniMatrix(self.p, tuple(
-                row[:j] + row[j + 1:] for row in rows[1:]))
-            term = rows[0][j] * minor.det
-            total += term if j % 2 == 0 else -term
-        return total % self.p
+        return _det(self.entries) % self.p
 
     @property
     def invertible(self) -> bool:
@@ -583,8 +531,8 @@ def _image_candidates(G: FiniteQuotient, H: FiniteQuotient) -> list[np.ndarray] 
         return None
     if G.order > _SEARCH_BOUND:
         raise QuotientError("exhaustive search bound exceeded")
-    dG = dense_group(G)
-    dH = dense_group(H)
+    dG = G.dense
+    dH = H.dense
     if dG.frattini_dim != dH.frattini_dim:
         return None
     return [np.flatnonzero(dH.orders == dG.orders[g]).astype(np.int64)
@@ -602,7 +550,7 @@ def all_isomorphisms(G: FiniteQuotient, H: FiniteQuotient) -> Iterator[Homomorph
     cands = _image_candidates(G, H)
     if cands is None or any(c.size == 0 for c in cands):
         return
-    dH = dense_group(H)
+    dH = H.dense
     p = dH.p
     d = dH.frattini_dim
     coordsH = dH.coords
@@ -644,7 +592,7 @@ def isomorphism_det_scan(G: FiniteQuotient, H: FiniteQuotient) -> IsoScanSummary
     cands = _image_candidates(G, H)
     if cands is None:
         return IsoScanSummary(0, 0, ())
-    dH = dense_group(H)
+    dH = H.dense
     if dH.frattini_dim != 2 or G.basis.rank != 2:
         # all_isomorphisms scans every tuple of order-matching candidates
         checked = math.prod(c.size for c in cands)

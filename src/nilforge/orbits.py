@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .hall import (
     FreeEndomorphism,
     FreeNilElement,
+    _det,
     builtin_basis,
     collect,
     inverse,
@@ -172,25 +173,14 @@ def _solve_unimodular(cols: list[list[int]], rhs: list[int]) -> list[int]:
     """Solve M v = rhs exactly for integer M with det +-1 (columns given)."""
     n = len(rhs)
     m = [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = 0
-        for j in range(len(mat)):
-            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-            term = mat[0][j] * det(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
-    dm = det(m)
+    dm = _det(m)
     if dm not in (1, -1):
         raise QuotientError(f"restriction matrix has determinant {dm}, not a unit")
     sol = []
     for j in range(n):
         mj = [[rhs[i] if jj == j else m[i][jj] for jj in range(n)]
               for i in range(n)]
-        sol.append(det(mj) // dm)
+        sol.append(_det(mj) // dm)
     return sol
 
 
@@ -237,26 +227,13 @@ def invert_endomorphism(psi: FreeEndomorphism) -> FreeEndomorphism:
 
 def _adjugate(entries):
     n = len(entries)
-    if n == 1:
-        return [[1]]
-
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = 0
-        for j in range(len(mat)):
-            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-            term = mat[0][j] * det(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
     cof = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [row[:j] + row[j + 1:]
                      for ri, row in enumerate(entries) if ri != i]
             sign = -1 if (i + j) % 2 else 1
-            cof[i][j] = sign * det(minor)
+            cof[i][j] = sign * _det(minor)
     return [[cof[j][i] for j in range(n)] for i in range(n)]  # transpose
 
 
@@ -380,14 +357,14 @@ def power_lemma_check(q: FiniteQuotient, a: PcElement, b: PcElement) -> bool:
     """Whether (a*b)^p = a^p, after checking the hypotheses: the group has
     class less than p and the normal closure of b is abelian of exponent
     dividing p.  A failed hypothesis raises HypothesisNotMet."""
-    from .lab import SubgroupHandle, dense_group, series_invariants
+    from .lab import SubgroupHandle, series_invariants
 
     p = q.prime
     inv = series_invariants(q)
     if inv.nilpotency_class >= p:
         raise HypothesisNotMet(
             f"class {inv.nilpotency_class} is not less than p = {p}")
-    dense = dense_group(q)
+    dense = q.dense
     ncl = SubgroupHandle(q, dense.normal_closure([b.index()]))
     if not ncl.is_abelian:
         raise HypothesisNotMet("normal closure of b is not abelian")

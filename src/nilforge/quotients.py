@@ -23,7 +23,7 @@ the exponent, and an exponent reaching 2^20 raises instead of wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -406,7 +406,7 @@ def _emit_arrays(q, s, e, out, depth) -> bool:
             out.append((s, rem))
         if not k.any():
             return False
-    for t, kt in _newton_letters(q._newton()[s], k):
+    for t, kt in _newton_letters(q._newton[s], k):
         _emit_arrays(q, t, kt, out, depth + 1)
     return True
 
@@ -583,13 +583,18 @@ class FiniteQuotient:
             (self.moduli[s], FreeNilElement(self.basis, self.tails[s]))
             for s in range(self.basis.size))
         self._tailpow.clear()
-        self._newton_cache = None
+        self.__dict__.pop("_newton", None)
 
+    @cached_property
     def _newton(self):
-        if self._newton_cache is None:
-            self._newton_cache = tuple(
-                _newton_series(self.basis, tail) for _m, tail in self._rules)
-        return self._newton_cache
+        return tuple(_newton_series(self.basis, tail) for _m, tail in self._rules)
+
+    @cached_property
+    def dense(self):
+        """The `lab.DenseGroup` tables of this quotient, built on first use."""
+        from .lab import DenseGroup
+
+        return DenseGroup(self)
 
     # -- prime of a p-group quotient ----------------------------------------
 
@@ -826,8 +831,6 @@ def consistency_check(q: FiniteQuotient, seed: int = 0,
 
 
 def _consistency_body(q, rng, rep, pair_samples, triple_samples):
-    from .lab import dense_group
-
     n = q.order
     basis = q.basis
 
@@ -862,17 +865,18 @@ def _consistency_body(q, rng, rep, pair_samples, triple_samples):
                 bad += 1
     rep.record("relators-vanish", bad == 0, f"{total} instances, {bad} failures")
 
-    dense = dense_group(q)
+    dense = q.dense
 
     # dense translation tables agree with direct reduction on a seeded sample
     sample = min(pair_samples, 10_000, n * n)
-    bad = 0
-    for _ in range(sample):
-        i, j = rng.randrange(n), rng.randrange(n)
-        a = PcElement(q, q.decode(i))
-        b = PcElement(q, q.decode(j))
-        if dense.mult(i, j) != (a * b).index():
-            bad += 1
+    ii = np.empty(sample, dtype=np.int64)
+    jj = np.empty(sample, dtype=np.int64)
+    direct = np.empty(sample, dtype=np.int64)
+    for k in range(sample):
+        i = ii[k] = rng.randrange(n)
+        j = jj[k] = rng.randrange(n)
+        direct[k] = (PcElement(q, q.decode(i)) * PcElement(q, q.decode(j))).index()
+    bad = int((dense.mult(ii, jj) != direct).sum())
     rep.record("dense-bridge", bad == 0, f"{sample} sampled pairs, {bad} failures")
 
     # every translation is a bijection (all-pairs multiplicativity scope)

@@ -11,7 +11,6 @@ from nilforge.campaigns import run_theorem_campaign
 from nilforge.cli import main
 from nilforge.hall import builtin_basis, collect, power
 from nilforge.lab import (
-    dense_group,
     induced_frattini_matrix,
     is_isomorphic,
     isomorphism_det_scan,
@@ -122,7 +121,7 @@ def test_criterion_05_unique_abelian_maximal():
             assert len(ms) == p + 1
             abelians = [m for m in ms if m.is_abelian]
             assert len(abelians) == 1
-            dense = dense_group(q)
+            dense = q.dense
             m_img = dense.normal_closure(
                 [q.reduce(power(F23.generator(0), p)).index(),
                  q.reduce(F23.generator(1)).index()])
@@ -153,7 +152,7 @@ def test_criterion_06_psi_congruences():
 def test_criterion_07_power_lemma():
     t0 = time.perf_counter()
     K = standard_quotient("K", 5)
-    dense = dense_group(K)
+    dense = K.dense
     ncl = dense.normal_closure([K.reduce(F23.generator(1)).index()])
     rng = random.Random("acceptance|power")
     for _ in range(1000):

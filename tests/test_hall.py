@@ -207,6 +207,7 @@ def test_abelianization_functorial():
 def test_int_matrix_det_known_values():
     assert IntMatrix([[2, 1], [0, 1]]).det == 2
     assert IntMatrix([[0, 0, 1], [0, -1, 0], [1, 1, 0]]).det == 1
+    assert IntMatrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]]).det == 16
     with pytest.raises(ValueError):
         IntMatrix([[1, 2, 3], [4, 5, 6]])
 

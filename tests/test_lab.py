@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from nilforge.lab import (
     IsoScanSummary,
     all_isomorphisms,
     automorphism_count,
-    dense_group,
     induced_frattini_matrix,
     is_isomorphic,
     isomorphism_det_scan,
@@ -19,6 +20,7 @@ from nilforge.lab import (
     subgroup_functors,
 )
 from nilforge.quotients import (
+    FiniteQuotient,
     QuotientError,
     RelatorSet,
     make_quotient,
@@ -65,7 +67,7 @@ def test_center_of_N_r_fixture():
     assert center.order == 5
     xp = q.reduce(power(X, 5))
     assert center.contains(xp)
-    dense = dense_group(q)
+    dense = q.dense
     assert np.array_equal(center.indices, dense.closure([xp.index()]))
 
 
@@ -103,6 +105,17 @@ def test_series_invariants_cyclic():
     assert inv.lower_central_orders == (5, 1)
 
 
+def test_tables_die_with_their_quotient():
+    # a fresh quotient, not the memoized standard one
+    q = FiniteQuotient.from_payload(standard_quotient("N_r", 5, 2).to_payload())
+    tables = weakref.ref(q.dense)
+    assert q.dense is q.dense
+    assert series_invariants(q) is series_invariants(q)
+    del q
+    gc.collect()
+    assert tables() is None
+
+
 # -- maximal subgroups ---------------------------------------------------------------
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -112,7 +125,7 @@ def test_maximal_subgroups_unique_abelian(p):
     assert len(ms) == p + 1
     abelians = [m for m in ms if m.is_abelian]
     assert len(abelians) == 1
-    dense = dense_group(q)
+    dense = q.dense
     m_img = dense.normal_closure([q.reduce(power(X, p)).index(),
                                   q.reduce(Y).index()])
     assert np.array_equal(abelians[0].indices, m_img)
@@ -218,6 +231,9 @@ def test_frattini_matrix_det_formula():
     m = FrattiniMatrix(5, ((2, 1), (1, 3)))
     assert m.det == (2 * 3 - 1) % 5
     assert FrattiniMatrix(5, ((0, 0, 1), (0, 4, 0), (1, 1, 0))).det == 1
+    # integer determinant 29
+    assert FrattiniMatrix(5, ((1, 2, 0, 1), (0, 1, 3, 0), (2, 0, 1, 1),
+                              (1, 1, 0, 3))).det == 4
 
 
 def test_det_residue_matches_rs_ratio():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from nilforge.hall import builtin_basis, multiply, power
-from nilforge.lab import dense_group
 from nilforge.orbits import (
     HypothesisNotMet,
     PsiParams,
@@ -173,7 +172,7 @@ def test_power_lemma_basic():
 
 def test_power_lemma_random_instances():
     K = standard_quotient("K", 5)
-    dense = dense_group(K)
+    dense = K.dense
     ncl = dense.normal_closure([K.reduce(Y).index()])
     assert ncl.size == 125
     rng = random.Random(9)
