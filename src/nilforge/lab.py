@@ -101,13 +101,14 @@ class DenseGroup:
         aa = np.asarray(a, dtype=np.int64)
         bb = np.asarray(b, dtype=np.int64)
         shape = np.broadcast_shapes(aa.shape, bb.shape)
-        out = np.broadcast_to(aa, shape)
-        rem = np.broadcast_to(bb, shape)
         if not self.pc_syms:
             res = np.zeros(shape, dtype=np.int64)
             return res if shape else 0
+        out = np.broadcast_to(aa, shape)
         for k in range(len(self.pc_syms)):
-            e = (rem // self._strides[k]) % self._moduli[k]
+            # b's exponents are taken on b's own shape and broadcast by the
+            # lookup, which saves a full-shape division per pc symbol
+            e = (bb // self._strides[k]) % self._moduli[k]
             out = self.slabs[k][e, out]
         return out if shape else int(out)
 

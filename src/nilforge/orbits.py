@@ -24,6 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hall import (
     FreeEndomorphism,
     FreeNilElement,
@@ -36,7 +38,6 @@ from .hall import (
 )
 from .quotients import (
     FiniteQuotient,
-    PcElement,
     QuotientError,
     standard_quotient,
 )
@@ -66,7 +67,7 @@ class OrbitContradiction(RuntimeError):
 
 
 class HypothesisNotMet(RuntimeError):
-    """A power-lemma hypothesis failed; the instance is skipped, not failed."""
+    """A power-lemma hypothesis failed; the batch is skipped, not failed."""
 
 
 @dataclass(frozen=True)
@@ -353,21 +354,38 @@ def orbit_witness(p: int, r: int, s: int) -> OrbitCertificate:
                             None, None, None)
 
 
-def power_lemma_check(q: FiniteQuotient, a: PcElement, b: PcElement) -> bool:
-    """Whether (a*b)^p = a^p, after checking the hypotheses: the group has
-    class less than p and the normal closure of b is abelian of exponent
-    dividing p.  A failed hypothesis raises HypothesisNotMet."""
+def power_lemma_check(q: FiniteQuotient, a, b) -> np.ndarray:
+    """For int64 index arrays a and b of one length, whether
+    (a[i]*b[i])^p = a[i]^p for every i, as a bool array.
+
+    The hypotheses are checked once, on the normal closure C of all of b:
+    the group has class less than p, and C is abelian of exponent dividing
+    p.  Each ncl(b[i]) is a subgroup of C, so it inherits both properties;
+    for a single b this is exactly the per-instance hypothesis.  A failed
+    hypothesis raises HypothesisNotMet for the whole batch.
+    """
     from .lab import SubgroupHandle, series_invariants
 
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise QuotientError(
+            f"power lemma needs two index arrays of one length, got shapes "
+            f"{a.shape} and {b.shape}")
+    n = q.order
+    for name, arr in (("a", a), ("b", b)):
+        if ((arr < 0) | (arr >= n)).any():
+            raise QuotientError(
+                f"power lemma: an index of {name} lies outside [0, {n})")
     p = q.prime
     inv = series_invariants(q)
     if inv.nilpotency_class >= p:
         raise HypothesisNotMet(
             f"class {inv.nilpotency_class} is not less than p = {p}")
     dense = q.dense
-    ncl = SubgroupHandle(q, dense.normal_closure([b.index()]))
+    ncl = SubgroupHandle(q, dense.normal_closure(np.unique(b)))
     if not ncl.is_abelian:
         raise HypothesisNotMet("normal closure of b is not abelian")
     if int(dense.orders[ncl.indices].max()) > p:
         raise HypothesisNotMet("normal closure of b has exponent exceeding p")
-    return (a * b) ** p == a ** p
+    return dense.power(dense.mult(a, b), p) == dense.power(a, p)

@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
+from nilforge import orbits
+from nilforge.campaigns import run_theorem_campaign
 from nilforge.hall import builtin_basis, multiply, power
 from nilforge.orbits import (
     HypothesisNotMet,
@@ -17,7 +20,8 @@ from nilforge.orbits import (
     psi_transports,
     sample_psi_params,
 )
-from nilforge.quotients import standard_quotient
+from nilforge.quotients import QuotientError, standard_quotient
+from nilforge.reports import CampaignConfig
 
 F23 = builtin_basis("F23")
 X, Y = F23.gens()
@@ -164,10 +168,24 @@ def test_witness_rejects_unsupported_prime():
 
 # -- power lemma ------------------------------------------------------------------------
 
+def _power_draws(K, seed, p, n):
+    """The power-lemma claim's draws: a uniform in F/K, b uniform in ncl(y),
+    in the campaign's rng order."""
+    rng = random.Random(f"{seed}|{p}|power")
+    ncl = K.dense.normal_closure([K.reduce(Y).index()])
+    a = np.empty(n, dtype=np.int64)
+    b = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        a[i] = rng.randrange(K.order)
+        b[i] = ncl[rng.randrange(ncl.size)]
+    return a, b
+
+
 def test_power_lemma_basic():
     K = standard_quotient("K", 5)
-    assert power_lemma_check(K, K.reduce(X), K.reduce(Y))
-    assert power_lemma_check(K, K.reduce(X), K.identity)
+    x, y = K.reduce(X).index(), K.reduce(Y).index()
+    assert power_lemma_check(K, np.array([x]), np.array([y])).all()
+    assert power_lemma_check(K, np.array([x]), np.array([0])).all()
 
 
 def test_power_lemma_random_instances():
@@ -176,13 +194,67 @@ def test_power_lemma_random_instances():
     ncl = dense.normal_closure([K.reduce(Y).index()])
     assert ncl.size == 125
     rng = random.Random(9)
-    for _ in range(150):
-        a = dense.element(rng.randrange(K.order))
-        b = dense.element(int(ncl[rng.randrange(ncl.size)]))
-        assert power_lemma_check(K, a, b)
+    a = np.empty(150, dtype=np.int64)
+    b = np.empty(150, dtype=np.int64)
+    for i in range(150):
+        a[i] = rng.randrange(K.order)
+        b[i] = ncl[rng.randrange(ncl.size)]
+    assert power_lemma_check(K, a, b).all()
 
 
 def test_power_lemma_hypothesis_failures():
     K = standard_quotient("K", 5)
+    x, y = K.reduce(X).index(), K.reduce(Y).index()
     with pytest.raises(HypothesisNotMet):
-        power_lemma_check(K, K.reduce(Y), K.reduce(X))  # ncl(x) not abelian
+        power_lemma_check(K, np.array([y]), np.array([x]))  # ncl(x) not abelian
+
+
+@pytest.mark.parametrize("p,n", [(5, 1000), (7, 200)])
+def test_power_lemma_batch_matches_symbolic(p, n):
+    # the campaign's draws at seed 0, each compared with (a*b)^p = a^p
+    # computed by symbolic PcElement arithmetic
+    K = standard_quotient("K", p)
+    a, b = _power_draws(K, 0, p, n)
+    got = power_lemma_check(K, a, b)
+    assert got.dtype == bool and got.shape == (n,)
+    dense = K.dense
+    for i in range(n):
+        ea, eb = dense.element(a[i]), dense.element(b[i])
+        assert got[i] == ((ea * eb) ** p == ea ** p)
+
+
+def test_power_lemma_batch_rejects_bad_input():
+    K = standard_quotient("K", 5)
+    dense = K.dense
+    a, b = _power_draws(K, 0, 5, 20)
+    x = K.reduce(X).index()
+    with pytest.raises(HypothesisNotMet):  # one b outside ncl(y)
+        power_lemma_check(K, a, np.append(b[:-1], x))
+    ncl_x = dense.normal_closure([x])
+    with pytest.raises(HypothesisNotMet):
+        power_lemma_check(K, np.zeros(ncl_x.size, dtype=np.int64), ncl_x)
+    with pytest.raises(QuotientError):
+        power_lemma_check(K, a, b[:-1])
+    with pytest.raises(QuotientError):
+        power_lemma_check(K, a, np.append(b[:-1], K.order))
+    with pytest.raises(QuotientError):
+        power_lemma_check(K, np.append(a[:-1], -1), b)
+
+
+def test_power_lemma_claim_is_one_batch(monkeypatch, tmp_path):
+    calls = []
+    check = orbits.power_lemma_check
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(orbits, "power_lemma_check", counting)
+    config = CampaignConfig(primes=(5,), rs=(1,), psi_samples=15,
+                            budget_pairs=1, cache_dir=str(tmp_path / "c"))
+    report = run_theorem_campaign(config)
+    claim = [c for c in report.claims if c.claim_id == "p5.power-lemma"][0]
+    assert len(calls) == 1
+    assert claim.verdict == "pass"
+    assert claim.counts == {"instances": "1000", "holds": "1000",
+                            "skipped": "0", "ncl_order": "125"}

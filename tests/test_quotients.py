@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from nilforge.hall import builtin_basis, collect, inverse, multiply, power
@@ -227,6 +228,19 @@ def test_consistency_reports_divergent_corruption():
     rep = consistency_check(bad)
     assert not rep.passed
     assert any("rewriting failed" in f for f in rep.failures())
+
+
+def test_consistency_detects_non_bijective_left_translations():
+    # a fresh K (n = 7^5, so the sampled scope) whose last pc generator's
+    # slab rows are all the identity: x -> a*x then ignores that coordinate
+    # of x, while every slab row is still a permutation
+    q = FiniteQuotient.from_payload(standard_quotient("K", 7).to_payload())
+    dense = q.dense
+    dense.slabs[-1][:] = np.arange(q.order, dtype=np.int64)
+    rep = consistency_check(q, pair_samples=200, triple_samples=200)
+    checks = {name: (ok, detail) for name, ok, detail in rep.checks}
+    assert checks["translations-bijective"] == (
+        False, "1024 sampled left translations")
 
 
 # -- serialization --------------------------------------------------------------------
