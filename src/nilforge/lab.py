@@ -8,9 +8,10 @@ centers, closures, lower central series, maximal subgroups, and the
 exhaustive homomorphism searches - runs vectorized over those arrays.
 Tables are built with `FiniteQuotient.reduce_arrays`, which runs the
 collection and the rewriting for all elements at once on int64 arrays;
-each translation is checked to be a permutation of canonical indices, and
-`consistency_check` cross-validates the tables against symbolic
-`FiniteQuotient.reduce`, an independent code path.
+each translation is checked to be a permutation of canonical indices.
+`consistency_check` certifies exactly that the tables are a group law
+(`quotients._group_certificate`) and cross-validates them against
+symbolic `FiniteQuotient.reduce`, an independent code path.
 
 Enumeration output is deterministic: candidate tuples are scanned in
 lexicographic index order, so results do not depend on chunking.

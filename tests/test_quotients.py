@@ -1,13 +1,16 @@
 import random
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from nilforge.hall import builtin_basis, collect, inverse, multiply, power
+from nilforge.lab import DenseGroup
 from nilforge.quotients import (
     FiniteQuotient,
     InfiniteIndexError,
     RelatorSet,
+    _group_certificate,
     consistency_check,
     make_quotient,
     membership,
@@ -196,12 +199,11 @@ def test_consistency_check_passes():
     rep = consistency_check(standard_quotient("N_r", 5, 2))
     assert rep.passed, rep.failures()
     names = [name for name, _ok, _d in rep.checks]
-    assert "associativity" in names and "translations-bijective" in names
+    assert "group-certificate" in names
 
 
 def test_consistency_check_sampled_mode():
-    rep = consistency_check(standard_quotient("K", 5),
-                            pair_samples=2000, triple_samples=2000)
+    rep = consistency_check(standard_quotient("K", 5))
     assert rep.passed, rep.failures()
 
 
@@ -231,16 +233,114 @@ def test_consistency_reports_divergent_corruption():
 
 
 def test_consistency_detects_non_bijective_left_translations():
-    # a fresh K (n = 7^5, so the sampled scope) whose last pc generator's
-    # slab rows are all the identity: x -> a*x then ignores that coordinate
-    # of x, while every slab row is still a permutation
+    # a fresh K whose last pc generator's slab rows are all the identity:
+    # x -> a*x then ignores that coordinate of x, while every slab row is
+    # still a permutation
     q = FiniteQuotient.from_payload(standard_quotient("K", 7).to_payload())
     dense = q.dense
     dense.slabs[-1][:] = np.arange(q.order, dtype=np.int64)
-    rep = consistency_check(q, pair_samples=200, triple_samples=200)
+    rep = consistency_check(q)
     checks = {name: (ok, detail) for name, ok, detail in rep.checks}
-    assert checks["translations-bijective"] == (
-        False, "1024 sampled left translations")
+    assert checks["group-certificate"] == (False, "right orbit of 0")
+
+
+# -- group certificate ---------------------------------------------------------------
+
+CERTIFIED = ([standard_relators("N_r", p, r) for p in (5, 7) for r in (1, p - 1)]
+             + [standard_relators(kind, p) for kind in ("K", "M") for p in (5, 7)]
+             + [standard_relators("DH_M_r", p, 1) for p in (5, 7)]
+             + [RelatorSet(F23, (power(X, 5), Y), "C_5"),
+                RelatorSet(F23, (power(X, 25), Y), "C_25"),
+                RelatorSet(F23, (power(X, 5), power(Y, 5), C), "C5xC5")])
+GROUP_STEPS = {"slab rows", "right orbit of 0", "left orbit of 0",
+               "left and right translations do not commute"}
+
+
+def _fresh(kind, p, r=None):
+    return FiniteQuotient.from_payload(standard_quotient(kind, p, r).to_payload())
+
+
+@pytest.mark.parametrize("relset", CERTIFIED, ids=lambda rs: rs.label)
+def test_group_certificate_passes(relset):
+    # built afresh, so an order-7^6 table dies with the test
+    q = make_quotient(relset)
+    assert _group_certificate(q, q.dense) == (
+        True, "regular right action, image of F/N")
+
+
+@pytest.mark.parametrize("kind,p,r", [("N_r", 5, 2), ("K", 7, None)])
+def test_group_certificate_rejects_swapped_row(kind, p, r):
+    # swap two entries of the first pc symbol's row 1 off the cycle of 0 and
+    # recompute that slab's powers: every row stays a permutation and the
+    # right orbit of 0 is untouched, but the table is no group law
+    q = _fresh(kind, p, r)
+    dense = q.dense
+    tab = dense.slabs[0]
+    row = tab[1]
+    cycle = {0}
+    x = int(row[0])
+    while x:
+        cycle.add(x)
+        x = int(row[x])
+    a, b = [i for i in range(q.order) if i not in cycle][:2]
+    row[[a, b]] = row[[b, a]]
+    for e in range(2, tab.shape[0]):
+        tab[e] = row[tab[e - 1]]
+    idx = np.arange(q.order, dtype=np.int64)
+    assert all((np.sort(t, axis=1) == idx).all() for t in dense.slabs)
+    assert (dense.mult(0, idx) == idx).all()
+    checks = {name: (ok, detail) for name, ok, detail in consistency_check(q).checks}
+    assert checks["group-certificate"] == (
+        False, "left and right translations do not commute")
+    assert "dense-bridge" not in checks
+
+
+def test_consistency_reports_out_of_range_slab_entry():
+    q = _fresh("N_r", 5, 2)
+    q.dense.slabs[0][3, 7] = q.order + 5
+    rep = consistency_check(q)
+    assert not rep.passed
+    checks = {name: (ok, detail) for name, ok, detail in rep.checks}
+    assert checks["group-certificate"] == (False, "slab rows")
+    assert "dense-bridge" not in checks
+
+
+def test_group_certificate_rejects_relator_outside_kernel():
+    # the tables of N_2 are a group law, but x does not die in that group
+    good = standard_quotient("N_r", 5, 2)
+    relset = RelatorSet(F23, good.relator_set.relators + (X,), "N_2, x")
+    q = FiniteQuotient(F23, relset, good.moduli, good.tails)
+    assert _group_certificate(q, q.dense) == (
+        False, "relators do not vanish on the tables")
+
+
+def test_group_certificate_rejects_non_generating_images():
+    # C5xC5 tables on the pc symbols x and [y,x]: a group law in which y
+    # maps to 1, so the generator images span only <x>
+    good = make_quotient(RelatorSet(F23, (power(X, 5), power(Y, 5), C), "C5xC5"))
+    q = FiniteQuotient(F23, good.relator_set, (5, 1, 5, 1, 1), ((0,) * 5,) * 5)
+    assert _group_certificate(q, q.dense) == (
+        False, "generator images do not generate")
+
+
+def test_group_certificate_exact_on_order_4():
+    # every pair of permutations of range(4) as the rows of C2xC2's two
+    # slabs: steps 1-4 pass exactly when the table is a group law with
+    # identity 0.  Some of these tables fail step 2 alone and some fail
+    # step 3 alone, so the test fails if either step is dropped.
+    q = make_quotient(RelatorSet(F23, (power(X, 2), power(Y, 2), C), "C2xC2"))
+    idx = np.arange(4, dtype=np.int64)
+    laws = 0
+    for rows in product(permutations(range(4)), repeat=2):
+        dense = DenseGroup(q)
+        dense.slabs = [np.array([idx, row], dtype=np.int64) for row in rows]
+        _ok, detail = _group_certificate(q, dense)
+        table = dense.mult(idx[:, None], idx[None, :])
+        law = ((table[table, :] == table[idx[:, None, None], table[None]]).all()
+               and (table[0] == idx).all() and (table[:, 0] == idx).all())
+        assert (detail not in GROUP_STEPS) == law, rows
+        laws += law
+    assert laws == 3
 
 
 # -- serialization --------------------------------------------------------------------
