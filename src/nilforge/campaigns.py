@@ -300,8 +300,8 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
             raise _Skip(
                 f"no unit r has r^3 distinct from +-1 mod {p}; the "
                 "determinant obstruction is vacuous at this prime")
-        all_hits = dh.matrix_lift_search(p, r0, 1, "all")
-        pm1_hits = dh.matrix_lift_search(p, r0, 1, "pm1")
+        all_hits = dh.matrix_lift_search(p, r0, 1)
+        pm1_hits = [c for c in all_hits if c.det_residue in (1, p - 1)]
         dets = sorted({c.det_residue for c in all_hits})
         counts = {"r": r0, "candidates": len(all_hits),
                   "dets": ",".join(map(str, dets)),

@@ -7,6 +7,9 @@ powers coincide.  This module verifies that structure, the scaling map
 between different values of r, the cubic determinant obstruction, and the
 classification of pairs (r, s) by searching every invertible 3x3 matrix
 over F_p whose monomial lift carries one relator family into the other.
+That search is `lab._transport_tuples` over the monomials x^a y^b z^c
+(0 <= a, b, c < p): it reads the relators from the r-family quotient, so
+it always certifies the family that `standard_relators` defines.
 
 Candidate matrices stand in for arbitrary isomorphism lifts because central
 corrections cannot change any relator-image verdict: the center has
@@ -24,9 +27,12 @@ from itertools import product
 import numpy as np
 
 from .lab import (
+    FrattiniMatrix,
     Homomorphism,
     SubgroupHandle,
+    _column_dets,
     _relator_masks,
+    _transport_tuples,
     subgroup_functors,
 )
 from .quotients import FiniteQuotient, QuotientError, standard_quotient
@@ -126,101 +132,48 @@ def find_valid_r(p: int) -> int | None:
     return None
 
 
-def _monomial_indices(q: FiniteQuotient) -> tuple[np.ndarray, np.ndarray]:
-    """Dense indices of all monomials x^a y^b z^c, (a, b, c) lexicographic,
-    plus the (p^3, 3) exponent table."""
-    p = q.prime
-    triples = np.array(list(product(range(p), repeat=3)), dtype=np.int64)
-    idxs = np.empty(len(triples), dtype=np.int64)
-    for t, (a, b, c) in enumerate(triples):
+def _lift_indices(q: FiniteQuotient, cols) -> np.ndarray:
+    """Dense indices of the monomial lifts x^a y^b z^c of exponent columns
+    (a, b, c)."""
+    out = []
+    for col in cols:
         vec = [0] * q.basis.size
-        vec[0], vec[1], vec[2] = int(a), int(b), int(c)
-        idxs[t] = q.element(vec).index()
-    return idxs, triples
+        vec[:3] = (int(e) for e in col)
+        out.append(q.element(vec).index())
+    return np.array(out, dtype=np.int64)
 
 
-def matrix_lift_search(p: int, r: int, s: int,
-                       det_filter: str = "all") -> list[MatrixLiftCandidate]:
+def matrix_lift_search(p: int, r: int, s: int) -> list[MatrixLiftCandidate]:
     """All invertible matrices over F_p whose monomial lift carries every
-    relator of the r-family into the s-family, optionally restricted to
-    determinant +-1.  The scan is partitioned by the first column and the
-    output is in lexicographic column order, independent of chunking.
+    relator of the r-family into the s-family, in lexicographic column
+    order.  The relators are read from the r-family quotient and checked by
+    `lab._transport_tuples` on the monomials of the s-family.
     """
-    if det_filter not in ("all", "pm1"):
-        raise ValueError("det_filter must be 'all' or 'pm1'")
     if p > 7:
         raise QuotientError("matrix search is sized for p <= 7")
+    source = standard_quotient("DH_M_r", p, r)
     target = standard_quotient("DH_M_r", p, s)
-    dT = target.dense
-    mono, triples = _monomial_indices(target)
-    n3 = mono.size
-
-    pow_rp = dT.power(mono, r * p)
-    pow_p2 = dT.power(mono, p * p)
-    comm = dT.comm(mono[:, None], mono[None, :])  # comm[a, b] = [m_a, m_b]
-    comm_p = dT.power(comm, p)
-    inv_comm = dT.inv[comm]
-
-    ok_p2 = pow_p2 == 0                       # 1D, any generator image
-    c3p_vw = (comm_p == 0).T                  # [v, w] <- c3^p at (w, v)
-
-    aa = triples[:, 0]
-    bb = triples[:, 1]
-    cc = triples[:, 2]
-
+    triples = np.array(list(product(range(p), repeat=3)), dtype=np.int64)
+    mono = _lift_indices(target, triples)
     out: list[MatrixLiftCandidate] = []
-    for u in range(n3):
-        if not ok_p2[u]:
-            continue
-        # conditions involving only (u, v): rho1 and c1^p
-        rho1_v = dT.mult(int(pow_rp[u]), comm[:, u]) == 0
-        c1p_v = comm_p[:, u] == 0
-        mv = ok_p2 & rho1_v & c1p_v
-        if not mv.any():
-            continue
-        # conditions involving only (u, w): c2^p
-        mw = ok_p2 & (comm_p[:, u] == 0)
-        if not mw.any():
-            continue
-        # rho2[v, w] = Y^(rp) [Z, X];  rho3[w, v] = Z^(rp) [Z,X]^-1 [Z,Y]
-        c2img_w = comm[:, u]
-        rho2_vw = dT.mult(pow_rp[:, None], c2img_w[None, :]) == 0
-        zfac_w = dT.mult(pow_rp, inv_comm[:, u])
-        rho3_vw = (dT.mult(zfac_w[:, None], comm) == 0).T
-        passed = (mv[:, None] & mw[None, :] & rho2_vw & rho3_vw & c3p_vw)
-        if not passed.any():
-            continue
-        det = (aa[u] * (bb[:, None] * cc[None, :] - cc[:, None] * bb[None, :])
-               - bb[u] * (aa[:, None] * cc[None, :] - cc[:, None] * aa[None, :])
-               + cc[u] * (aa[:, None] * bb[None, :] - bb[:, None] * aa[None, :])) % p
-        if det_filter == "pm1":
-            passed &= (det == 1 % p) | (det == (p - 1) % p)
-        else:
-            passed &= det != 0
-        for v, w in np.argwhere(passed):
-            cols = (triples[u], triples[int(v)], triples[int(w)])
-            matrix = tuple(tuple(int(col[i]) for col in cols) for i in range(3))
-            out.append(MatrixLiftCandidate(
-                p, matrix, int(det[v, w]),
-                tuple(tuple(int(e) for e in col) for col in cols)))
+    for pos in _transport_tuples(source, target.dense, [mono] * 3):
+        cols = triples[pos]
+        dets = _column_dets(cols, p)
+        keep = dets != 0
+        for col3, det in zip(cols[keep].tolist(), dets[keep].tolist()):
+            images = tuple(map(tuple, col3))
+            out.append(MatrixLiftCandidate(p, tuple(zip(*images)), det, images))
     return out
 
 
 def candidate_transports(cand: MatrixLiftCandidate, r: int, s: int) -> bool:
     """Directly re-check one candidate: every relator of the r-family maps
     into the s-family under the monomial lift."""
-    p = cand.p
-    source = standard_quotient("DH_M_r", p, r)
-    target = standard_quotient("DH_M_r", p, s)
-    dT = target.dense
-    imgs = []
-    for col in cand.images:
-        vec = [0] * target.basis.size
-        vec[0], vec[1], vec[2] = col
-        imgs.append(target.element(vec).index())
-    mask = _relator_masks(source, dT, (imgs[0], imgs[1]),
-                          np.array([imgs[2]], dtype=np.int64))
-    return bool(mask[0])
+    source = standard_quotient("DH_M_r", cand.p, r)
+    target = standard_quotient("DH_M_r", cand.p, s)
+    return bool(_relator_masks(source.basis, source.relator_set.relators,
+                               target.dense,
+                               _lift_indices(target, cand.images)).all())
 
 
 def central_correction_invariance(p: int, r: int, s: int, samples: int = 200,
@@ -233,19 +186,16 @@ def central_correction_invariance(p: int, r: int, s: int, samples: int = 200,
     target = standard_quotient("DH_M_r", p, s)
     dT = target.dense
     center = dT.center_indices()
-    mono, _triples = _monomial_indices(target)
-    n3 = mono.size
-    for _ in range(samples):
-        base = [int(mono[rng.randrange(n3)]) for _ in range(3)]
-        corr = [int(center[rng.randrange(center.size)]) for _ in range(3)]
-        shifted = [int(dT.mult(b, z)) for b, z in zip(base, corr)]
-        m_plain = _relator_masks(source, dT, (base[0], base[1]),
-                                 np.array([base[2]], dtype=np.int64))
-        m_shift = _relator_masks(source, dT, (shifted[0], shifted[1]),
-                                 np.array([shifted[2]], dtype=np.int64))
-        if bool(m_plain[0]) != bool(m_shift[0]):
-            return False
-    return True
+    mono = _lift_indices(target, product(range(p), repeat=3))
+    base = np.empty((3, samples), dtype=np.int64)
+    corr = np.empty((3, samples), dtype=np.int64)
+    for k in range(samples):
+        base[:, k] = [mono[rng.randrange(mono.size)] for _ in range(3)]
+        corr[:, k] = [center[rng.randrange(center.size)] for _ in range(3)]
+    rels = source.relator_set.relators
+    return np.array_equal(_relator_masks(source.basis, rels, dT, base),
+                          _relator_masks(source.basis, rels, dT,
+                                         dT.mult(base, corr)))
 
 
 @dataclass(frozen=True)
@@ -273,8 +223,8 @@ class DhOrbitCertificate:
 
 
 def dh_orbit_decision(p: int, r: int, s: int) -> DhOrbitCertificate:
-    """Residue decision r = +-s (mod p), certified by the
-    determinant-restricted search where that argument applies.
+    """Residue decision r = +-s (mod p), certified by the det +-1 lifts of
+    `matrix_lift_search` where that argument applies.
 
     An equivalent pair must produce a det +-1 witness (any p in {5, 7}).
     An inequivalent pair is certified by an *empty* det +-1 search, but that
@@ -291,7 +241,8 @@ def dh_orbit_decision(p: int, r: int, s: int) -> DhOrbitCertificate:
     if p not in (5, 7):
         return DhOrbitCertificate(p, r, s, equivalent, None, 0, False,
                                   "no certified search at this prime")
-    hits = matrix_lift_search(p, r, s, det_filter="pm1")
+    hits = [c for c in matrix_lift_search(p, r, s)
+            if c.det_residue in (1, p - 1)]
     if equivalent:
         if not hits:
             raise DhContradiction(
@@ -335,11 +286,6 @@ class CharacteristicReport:
                 and self.negative_control_moved)
 
 
-def _mat_mul_mod(A, B, p):
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(3)) % p
-                       for j in range(3)) for i in range(3))
-
-
 def characteristic_check(p: int) -> CharacteristicReport:
     """At r = s = 1: the passing matrices form a p-power-order group of
     determinant one containing the shear x -> x, y -> xy, z -> yz, and both
@@ -350,9 +296,9 @@ def characteristic_check(p: int) -> CharacteristicReport:
         raise ValueError("characteristic check is certified for p in {5, 7}")
     q = standard_quotient("DH_M_r", p, 1)
     dense = q.dense
-    lifts = matrix_lift_search(p, 1, 1, det_filter="all")
+    lifts = matrix_lift_search(p, 1, 1)
     mats = {cand.matrix for cand in lifts}
-    closed = all(_mat_mul_mod(m1, m2, p) in mats
+    closed = all((FrattiniMatrix(p, m1) * FrattiniMatrix(p, m2)).entries in mats
                  for m1 in mats for m2 in mats)
     order = len(lifts)
     rest = order
@@ -377,25 +323,13 @@ def characteristic_check(p: int) -> CharacteristicReport:
     center_inside = (np.isin(center.indices, h1.indices).all()
                      and np.isin(center.indices, h2.indices).all())
 
-    def image_index(col):
-        vec = [0] * q.basis.size
-        vec[0], vec[1], vec[2] = col
-        return q.element(vec).index()
-
-    h1_ok = True
-    h2_ok = True
-    h3_moved = False
-    for cand in lifts:
-        xi = image_index(cand.images[0])
-        yi = image_index(cand.images[1])
-        # the lift sends G' into G' (images of commutators are commutators),
-        # so <G', g> is preserved exactly when the image of g stays inside
-        if not h1.contains_index(xi):
-            h1_ok = False
-        if not (h2.contains_index(xi) and h2.contains_index(yi)):
-            h2_ok = False
-        if not h3.contains_index(yi):
-            h3_moved = True
+    xs = _lift_indices(q, [cand.images[0] for cand in lifts])
+    ys = _lift_indices(q, [cand.images[1] for cand in lifts])
+    # the lift sends G' into G' (images of commutators are commutators),
+    # so <G', g> is preserved exactly when the image of g stays inside
+    h1_ok = bool(np.isin(xs, h1.indices).all())
+    h2_ok = bool(np.isin(xs, h2.indices).all() and np.isin(ys, h2.indices).all())
+    h3_moved = not np.isin(ys, h3.indices).all()
     return CharacteristicReport(p, order, closed, p_power, det_one,
                                 contains_shear, bool(center_inside),
                                 h1_ok, h2_ok, h3_moved)

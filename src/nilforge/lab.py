@@ -13,7 +13,13 @@ each translation is checked to be a permutation of canonical indices.
 (`quotients._group_certificate`) and cross-validates them against
 symbolic `FiniteQuotient.reduce`, an independent code path.
 
-Enumeration output is deterministic: candidate tuples are scanned in
+Every generator-image scan - the isomorphisms between quotients and their
+Frattini determinants here, the monomial lifts in `dh` - runs through one
+engine, `_transport_tuples`: it reads the relators from the source
+quotient, checks each one as soon as the generators it mentions have
+images, and evaluates them on bounded grids with `_relator_masks`.
+Bijectivity is one determinant routine, `hall._det`, over entry arrays.
+Enumeration output is deterministic: candidate tuples come out in
 lexicographic index order, so results do not depend on chunking.
 """
 
@@ -274,10 +280,6 @@ class SubgroupHandle:
     def contains(self, g: PcElement) -> bool:
         return bool(np.isin(g.index(), self.indices))
 
-    def contains_index(self, idx: int) -> bool:
-        pos = np.searchsorted(self.indices, idx)
-        return pos < self.indices.size and self.indices[pos] == idx
-
     @cached_property
     def generators(self) -> list[PcElement]:
         dense = self._dense
@@ -479,51 +481,80 @@ def induced_frattini_matrix(phi: Homomorphism) -> FrattiniMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive isomorphism search
+# exhaustive generator-image search
 # ---------------------------------------------------------------------------
 
-def _span_rank_mod_p(rows: np.ndarray, p: int) -> int:
-    m = rows % p
-    m = m.astype(np.int64)
-    rank = 0
-    ncols = m.shape[1]
-    row_used = np.zeros(m.shape[0], dtype=bool)
-    for col in range(ncols):
-        pivot = None
-        for i in range(m.shape[0]):
-            if not row_used[i] and m[i, col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        row_used[pivot] = True
-        rank += 1
-        inv = pow(int(m[pivot, col]), p - 2, p)
-        m[pivot] = (m[pivot] * inv) % p
-        for i in range(m.shape[0]):
-            if i != pivot and m[i, col]:
-                m[i] = (m[i] - m[i, col] * m[pivot]) % p
-    return rank
+_GRID = 1 << 13  # elements per relator-evaluation grid; bounds scan memory
 
 
-def _relator_masks(source: FiniteQuotient, dtgt: DenseGroup,
-                   prefix: tuple[int, ...], last_cands: np.ndarray) -> np.ndarray:
-    """Vector over the last generator's candidates: which completed tuples
-    kill every relator of the source."""
-    basis = source.basis
-    syms: list = list(prefix) + [last_cands]
+def _relator_masks(basis, relators, dtgt: DenseGroup,
+                   images: Sequence) -> np.ndarray:
+    """Which assignments kill every relator, as a bool array over the
+    broadcast shape of the ambient generator images.  ``images`` may cover
+    only the first generators, as long as the relators mention no other."""
+    syms = dict(enumerate(np.asarray(im, dtype=np.int64) for im in images))
+    shape = np.broadcast_shapes(*(a.shape for a in syms.values()))
     for i in range(basis.rank, basis.size):
         hi, lo = basis.symbols[i].bracket
-        syms.append(dtgt.comm(syms[hi], syms[lo]))
-    ok = np.ones(last_cands.shape, dtype=bool)
-    for rel in source.relator_set.relators:
-        acc = np.zeros(last_cands.shape, dtype=np.int64)
+        if hi in syms and lo in syms:
+            syms[i] = dtgt.comm(syms[hi], syms[lo])
+
+    ok = np.ones(shape, dtype=bool)
+    for rel in relators:
+        acc = np.zeros(shape, dtype=np.int64)
         for s, e in rel.letters():
             acc = dtgt.mult(acc, dtgt.power(syms[s], e))
         ok &= acc == 0
         if not ok.any():
             break
     return ok
+
+
+def _transport_tuples(source: FiniteQuotient, dtgt: DenseGroup,
+                      cands: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Every assignment of ``cands[j][pos[j]]`` to ambient generator j that
+    kills all relators of the source in the target, as (m, rank) arrays of
+    candidate positions, in lexicographic order.
+
+    Backtrack by level: a relator's level is the highest ambient generator
+    in the bracket support of its letters, and it is checked as soon as that
+    generator is assigned (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, ch. 8).  Level j runs on the grid of partial tuples times
+    ``cands[j]``, at most `_GRID` elements at a time; a lone partial tuple
+    against a larger candidate list is one grid.
+    """
+    basis = source.basis
+    top = list(range(basis.rank))
+    for i in range(basis.rank, basis.size):
+        top.append(max(top[k] for k in basis.symbols[i].bracket))
+    levels: list[list] = [[] for _ in range(basis.rank)]
+    for rel in source.relator_set.relators:
+        levels[max((top[s] for s, _ in rel.letters()), default=0)].append(rel)
+
+    def extend(partial: np.ndarray) -> Iterator[np.ndarray]:
+        j = partial.shape[1]
+        if j == basis.rank:
+            yield partial
+            return
+        step = max(1, _GRID // max(1, cands[j].size))
+        for start in range(0, partial.shape[0], step):
+            blk = partial[start:start + step]
+            images = [cands[i][blk[:, i, None]] for i in range(j)]
+            mask = _relator_masks(basis, levels[j], dtgt,
+                                  images + [cands[j][None, :]])
+            rows, cols = np.nonzero(mask)
+            if rows.size:
+                yield from extend(np.column_stack([blk[rows], cols]))
+
+    yield from extend(np.zeros((1, 0), dtype=np.int64))
+
+
+def _column_dets(cols: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a stack of square matrices, given as an
+    (m, d, d) array whose entry [k, j] is column j of matrix k."""
+    d = cols.shape[1]
+    rows = tuple(tuple(cols[:, j, i] for j in range(d)) for i in range(d))
+    return np.broadcast_to(_det(rows) % p, cols.shape[:1])
 
 
 def _image_candidates(G: FiniteQuotient, H: FiniteQuotient) -> list[np.ndarray] | None:
@@ -541,33 +572,45 @@ def _image_candidates(G: FiniteQuotient, H: FiniteQuotient) -> list[np.ndarray] 
             for g in dG.gen_indices()]
 
 
+def _isomorphism_chunks(G: FiniteQuotient, H: FiniteQuotient,
+                        cands: list[np.ndarray]
+                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The isomorphisms G -> H as (m, rank) arrays of image indices, with
+    the determinants of their induced Frattini matrices, chunk by chunk.
+
+    A relator-killing tuple is bijective when the images of the surviving
+    weight-1 generators of G span the Frattini quotient of H (orders are
+    equal).  The eliminated weight-1 generators need not be looked at:
+    each one's substitution is a consequence of the relators, so once the
+    relators die its image lies in the span of the other images modulo
+    Phi(H).  The test is therefore det != 0 mod p, as in
+    `Homomorphism.is_bijective`.
+    """
+    dH = H.dense
+    w1 = _pc_weight1(G)
+    for pos in _transport_tuples(G, dH, cands):
+        tup = np.stack([c[pos[:, j]] for j, c in enumerate(cands)], axis=1)
+        dets = _column_dets(dH.coords[tup[:, w1]], dH.p)
+        keep = dets != 0
+        yield tup[keep], dets[keep]
+
+
 def all_isomorphisms(G: FiniteQuotient, H: FiniteQuotient) -> Iterator[Homomorphism]:
     """All isomorphisms G -> H as generator-image tuples, in lexicographic
     order of target element indices.
 
     Candidates are pruned by element order (images must match the orders of
-    the generator images in G) and by surjectivity onto the Frattini
-    quotient; the relator check then decides exactly.
+    the generator images in G); the relator check then decides exactly, and
+    the Frattini determinant decides bijectivity.
     """
     cands = _image_candidates(G, H)
-    if cands is None or any(c.size == 0 for c in cands):
+    if cands is None:
         return
     dH = H.dense
-    p = dH.p
-    d = dH.frattini_dim
-    coordsH = dH.coords
-    last = cands[-1]
-    for prefix in product(*(map(int, c) for c in cands[:-1])):
-        mask = _relator_masks(G, dH, prefix, last)
-        if not mask.any():
-            continue
-        for y in last[mask]:
-            tup = prefix + (int(y),)
-            rows = coordsH[list(tup)]
-            if _span_rank_mod_p(rows, p) != d:
-                continue
-            images = [dH.element(i) for i in tup]
-            yield Homomorphism(G, H, images, _verified=True)
+    for tup, _dets in _isomorphism_chunks(G, H, cands):
+        for row in tup:
+            yield Homomorphism(G, H, [dH.element(i) for i in row],
+                               _verified=True)
 
 
 def is_isomorphic(G: FiniteQuotient, H: FiniteQuotient) -> bool:
@@ -590,35 +633,15 @@ class IsoScanSummary:
 def isomorphism_det_scan(G: FiniteQuotient, H: FiniteQuotient) -> IsoScanSummary:
     """Exhaustive isomorphism scan that only accumulates the determinant
     residues of the induced Frattini matrices.  Same enumeration as
-    `all_isomorphisms`, vectorized for two-generated quotients."""
+    `all_isomorphisms`; every tuple of order-matching candidates counts as
+    checked."""
     cands = _image_candidates(G, H)
     if cands is None:
         return IsoScanSummary(0, 0, ())
-    dH = H.dense
-    if dH.frattini_dim != 2 or G.basis.rank != 2:
-        # all_isomorphisms scans every tuple of order-matching candidates
-        checked = math.prod(c.size for c in cands)
-        dets = set()
-        found = 0
-        for phi in all_isomorphisms(G, H):
-            found += 1
-            dets.add(induced_frattini_matrix(phi).det)
-        return IsoScanSummary(checked, found, tuple(sorted(dets)))
-    p = dH.p
-    coordsH = dH.coords
-    cand_x, cand_y = cands
-    checked = 0
     found = 0
     dets: set[int] = set()
-    cy = coordsH[cand_y]
-    for x in map(int, cand_x):
-        checked += cand_y.size
-        mask = _relator_masks(G, dH, (x,), cand_y)
-        if not mask.any():
-            continue
-        cx = coordsH[x]
-        det = (cx[0] * cy[:, 1] - cx[1] * cy[:, 0]) % p
-        ok = mask & (det != 0)
-        found += int(ok.sum())
-        dets.update(int(v) for v in np.unique(det[ok]))
-    return IsoScanSummary(checked, found, tuple(sorted(dets)))
+    for _tup, det in _isomorphism_chunks(G, H, cands):
+        found += det.size
+        dets.update(np.unique(det).tolist())
+    return IsoScanSummary(math.prod(c.size for c in cands), found,
+                          tuple(sorted(dets)))

@@ -871,8 +871,7 @@ def _group_certificate(q: FiniteQuotient, dense) -> tuple[bool, str]:
         return False, "generator images do not generate"
     if dense.series.nilpotency_class > q.basis.nilpotency_class:
         return False, "class exceeds that of the basis"
-    if not _relator_masks(q, dense, tuple(gens[:-1]),
-                          np.array(gens[-1:], dtype=np.int64)).all():
+    if not _relator_masks(q.basis, q.relator_set.relators, dense, gens).all():
         return False, "relators do not vanish on the tables"
     return True, "regular right action, image of F/N"
 

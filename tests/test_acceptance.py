@@ -170,10 +170,10 @@ def test_criterion_07_power_lemma():
 
 def test_criterion_08_example_obstruction():
     t0 = time.perf_counter()
-    lifts = matrix_lift_search(5, 2, 1, "all")
+    lifts = matrix_lift_search(5, 2, 1)
     assert lifts
     assert {c.det_residue for c in lifts} == {3}
-    assert matrix_lift_search(5, 2, 1, "pm1") == []
+    assert [c for c in lifts if c.det_residue in (1, 4)] == []
     phi = scaling_isomorphism(5, 2)
     assert induced_frattini_matrix(phi).det == 3
     _report(8, time.perf_counter() - t0, 300,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nilforge.dh import (
@@ -10,7 +12,10 @@ from nilforge.dh import (
     scaling_isomorphism,
     verify_structure,
 )
-from nilforge.lab import induced_frattini_matrix
+from nilforge.hall import builtin_basis, multiply, power
+from nilforge.lab import FrattiniMatrix, induced_frattini_matrix
+from nilforge.orbits import _endo_transports
+from nilforge.quotients import QuotientError, standard_quotient
 
 SHEAR = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 
@@ -74,7 +79,7 @@ def test_find_valid_r():
 # -- matrix lift search ----------------------------------------------------------------
 
 def test_search_identity_family():
-    lifts = matrix_lift_search(5, 1, 1, "all")
+    lifts = matrix_lift_search(5, 1, 1)
     assert len(lifts) == 5  # p-power cardinality
     assert {c.det_residue for c in lifts} == {1}
     mats = {c.matrix for c in lifts}
@@ -84,14 +89,41 @@ def test_search_identity_family():
 
 
 def test_search_obstructed_family():
-    lifts = matrix_lift_search(5, 2, 1, "all")
+    lifts = matrix_lift_search(5, 2, 1)
     assert lifts
     assert {c.det_residue for c in lifts} == {3}
-    assert matrix_lift_search(5, 2, 1, "pm1") == []
+    assert [c for c in lifts if c.det_residue in (1, 4)] == []
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (1, 4)])
+def test_search_agrees_with_symbolic_oracle(r, s):
+    # checked without the dense relator evaluation: every hit's monomial
+    # lift transports the relators under symbolic membership, and a seeded
+    # sample of invertible non-hits does not
+    x, y, z = builtin_basis("F32").gens()
+
+    def lift(cols):
+        return [multiply(multiply(power(x, a), power(y, b)), power(z, c))
+                for a, b, c in cols]
+
+    src = standard_quotient("DH_M_r", 5, r)
+    dst = standard_quotient("DH_M_r", 5, s)
+    hits = matrix_lift_search(5, r, s)
+    assert hits
+    assert all(_endo_transports(lift(c.images), src, dst) for c in hits)
+    hit_cols = {c.images for c in hits}
+    rng = random.Random(r * 10 + s)
+    misses = 0
+    while misses < 20:
+        cols = tuple(tuple(rng.randrange(5) for _ in range(3)) for _ in range(3))
+        if cols in hit_cols or not FrattiniMatrix(5, tuple(zip(*cols))).invertible:
+            continue
+        assert not _endo_transports(lift(cols), src, dst)
+        misses += 1
 
 
 def test_search_det_multiplicative_on_lift_group():
-    lifts = matrix_lift_search(5, 1, 1, "all")
+    lifts = matrix_lift_search(5, 1, 1)
     mats = {c.matrix: c.det_residue for c in lifts}
     for a in mats:
         for b in mats:
@@ -101,13 +133,13 @@ def test_search_det_multiplicative_on_lift_group():
 
 def test_scaling_composed_with_lift_group():
     # composing the scaling map with any automorphism keeps determinant r^3
-    lifts = matrix_lift_search(5, 2, 1, "all")
+    lifts = matrix_lift_search(5, 2, 1)
     assert {c.det_residue for c in lifts} == {pow(2, 3, 5)}
 
 
 def test_search_validates_inputs():
-    with pytest.raises(ValueError):
-        matrix_lift_search(5, 1, 1, "weird")
+    with pytest.raises(QuotientError):
+        matrix_lift_search(11, 1, 1)
 
 
 # -- orbit decisions -------------------------------------------------------------------
@@ -167,7 +199,7 @@ def test_central_correction_invariance():
 
 
 def test_lift_group_closed_for_other_r():
-    lifts = matrix_lift_search(5, 2, 2, "all")
+    lifts = matrix_lift_search(5, 2, 2)
     mats = {c.matrix for c in lifts}
     assert len(mats) == 5
     assert all(_mat_mul(a, b, 5) in mats for a in mats for b in mats)

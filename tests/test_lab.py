@@ -1,10 +1,13 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from nilforge import lab
+from nilforge.dh import matrix_lift_search
 from nilforge.hall import builtin_basis, power
 from nilforge.lab import (
     FrattiniMatrix,
@@ -268,8 +271,59 @@ def test_det_scan_matches_object_path():
         induced_frattini_matrix(phi).det for phi in objs}
 
 
+def test_isomorphisms_agree_with_symbolic_oracle():
+    # checked without the dense relator evaluation: the symbolic relator
+    # check of Homomorphism accepts what the search found and rejects a
+    # seeded sample of the order-matching tuples it left out
+    G = standard_quotient("N_r", 5, 1)
+    H = standard_quotient("N_r", 5, 2)
+    dG, dH = G.dense, H.dense
+    cands = [np.flatnonzero(dH.orders == dG.orders[g]) for g in dG.gen_indices()]
+    found = {tuple(im.index() for im in phi.images)
+             for phi in all_isomorphisms(G, H)}
+    first = set(cands[0][:3].tolist())
+    chosen = [tup for tup in found if tup[0] in first]
+    assert chosen
+    for tup in chosen:
+        assert Homomorphism(G, H, [dH.element(i) for i in tup]).is_bijective()
+    rng = random.Random(5)
+    rejected = 0
+    while rejected < 50:
+        tup = tuple(int(c[rng.randrange(c.size)]) for c in cands)
+        if tup in found:
+            continue
+        with pytest.raises(QuotientError):
+            Homomorphism(G, H, [dH.element(i) for i in tup])
+        rejected += 1
+
+
+@pytest.mark.parametrize("grid", [1, 1 << 30])
+def test_search_output_independent_of_grid(monkeypatch, grid):
+    q = standard_quotient("N_r", 5, 1)
+    expected = ([tuple(im.index() for im in phi.images)
+                 for phi in all_isomorphisms(q, q)],
+                matrix_lift_search(5, 2, 1))
+    monkeypatch.setattr(lab, "_GRID", grid)
+    assert ([tuple(im.index() for im in phi.images)
+             for phi in all_isomorphisms(q, q)],
+            matrix_lift_search(5, 2, 1)) == expected
+
+
+def test_det_scan_memory_is_bounded():
+    q1 = standard_quotient("N_r", 5, 1)
+    q2 = standard_quotient("N_r", 5, 2)
+    isomorphism_det_scan(q1, q2)  # builds and caches the tables
+    tracemalloc.start()
+    try:
+        isomorphism_det_scan(q1, q2)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
 def test_det_scan_counts_scanned_tuples_off_rank_two():
-    # C2^3 takes the generic path: 7 involutions per generator, 7^3 tuples
+    # a rank-3 source: 7 involutions per generator, 7^3 tuples
     F32 = builtin_basis("F32")
     x, y, z = F32.gens()
     q = make_quotient(RelatorSet(F32, (

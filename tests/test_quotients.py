@@ -203,8 +203,13 @@ def test_consistency_check_passes():
 
 
 def test_consistency_check_sampled_mode():
-    rep = consistency_check(standard_quotient("K", 5))
+    # K at p = 7 has order 16807, above the 10^4 retraction threshold
+    q = standard_quotient("K", 7)
+    assert q.order == 16807
+    rep = consistency_check(q)
     assert rep.passed, rep.failures()
+    details = {name: detail for name, _ok, detail in rep.checks}
+    assert details["reduce-retraction"].startswith("sampled")
 
 
 def test_consistency_detects_corruption():
