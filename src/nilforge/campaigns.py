@@ -249,6 +249,9 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
 
     for r in rs:
         cached_quotient("DH_M_r", p, r, config.cache_dir, report.warnings)
+    # lift searches already run at this prime, by (r, s); dh-aut's (1, 1)
+    # search serves the (1, 1) pair of dh-orbit-grid
+    searched: dict[tuple[int, int], list] = {}
 
     def claim_structure():
         if not scannable:
@@ -317,7 +320,8 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
     def claim_aut():
         if p not in (5, 7):
             raise _Skip("certified searches are sized for p in {5, 7}")
-        rep = dh.characteristic_check(p)
+        searched[1, 1] = dh.matrix_lift_search(p, 1, 1)
+        rep = dh.characteristic_check(p, searched[1, 1])
         counts = {"lift_group_order": rep.lift_group_order,
                   "dets_one": rep.all_det_one,
                   "contains_shear": rep.contains_shear,
@@ -339,7 +343,7 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
         ok = True
         try:
             for r, s in pairs:
-                cert = dh.dh_orbit_decision(p, r, s)
+                cert = dh.dh_orbit_decision(p, r, s, searched.get((r, s)))
                 if cert.certified:
                     certified += 1
                 else:

@@ -222,9 +222,13 @@ class DhOrbitCertificate:
         }
 
 
-def dh_orbit_decision(p: int, r: int, s: int) -> DhOrbitCertificate:
+def dh_orbit_decision(p: int, r: int, s: int,
+                      lifts: list[MatrixLiftCandidate] | None = None
+                      ) -> DhOrbitCertificate:
     """Residue decision r = +-s (mod p), certified by the det +-1 lifts of
-    `matrix_lift_search` where that argument applies.
+    `matrix_lift_search` where that argument applies.  ``lifts``, when
+    given, is the result of `matrix_lift_search(p, r, s)`, which is then
+    not run again.
 
     An equivalent pair must produce a det +-1 witness (any p in {5, 7}).
     An inequivalent pair is certified by an *empty* det +-1 search, but that
@@ -241,8 +245,9 @@ def dh_orbit_decision(p: int, r: int, s: int) -> DhOrbitCertificate:
     if p not in (5, 7):
         return DhOrbitCertificate(p, r, s, equivalent, None, 0, False,
                                   "no certified search at this prime")
-    hits = [c for c in matrix_lift_search(p, r, s)
-            if c.det_residue in (1, p - 1)]
+    if lifts is None:
+        lifts = matrix_lift_search(p, r, s)
+    hits = [c for c in lifts if c.det_residue in (1, p - 1)]
     if equivalent:
         if not hits:
             raise DhContradiction(
@@ -286,17 +291,20 @@ class CharacteristicReport:
                 and self.negative_control_moved)
 
 
-def characteristic_check(p: int) -> CharacteristicReport:
+def characteristic_check(p: int, lifts: list[MatrixLiftCandidate] | None = None
+                         ) -> CharacteristicReport:
     """At r = s = 1: the passing matrices form a p-power-order group of
     determinant one containing the shear x -> x, y -> xy, z -> yz, and both
     <G', x> and <G', x, y> are preserved by every member (central
     automorphisms fix them too, since the center lies inside both).  The
-    subgroup <G', y> is a negative control moved by the shear."""
+    subgroup <G', y> is a negative control moved by the shear.  ``lifts``,
+    when given, is the result of `matrix_lift_search(p, 1, 1)`."""
     if p not in (5, 7):
         raise ValueError("characteristic check is certified for p in {5, 7}")
     q = standard_quotient("DH_M_r", p, 1)
     dense = q.dense
-    lifts = matrix_lift_search(p, 1, 1)
+    if lifts is None:
+        lifts = matrix_lift_search(p, 1, 1)
     mats = {cand.matrix for cand in lifts}
     closed = all((FrattiniMatrix(p, m1) * FrattiniMatrix(p, m2)).entries in mats
                  for m1 in mats for m2 in mats)

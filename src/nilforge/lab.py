@@ -2,13 +2,16 @@
 
 Each quotient of interest is small (at most ~1.2e5 elements, and at most 1e4
 wherever exhaustive search runs), so this module materializes a quotient as
-index arrays: per-generator translation tables, inverse and order arrays,
-and the projection onto the Frattini quotient.  Everything downstream -
-centers, closures, lower central series, maximal subgroups, and the
-exhaustive homomorphism searches - runs vectorized over those arrays.
-Tables are built with `FiniteQuotient.reduce_arrays`, which runs the
-collection and the rewriting for all elements at once on int64 arrays;
-each translation is checked to be a permutation of canonical indices.
+index arrays: translation tables, inverse and order arrays, and the
+projection onto the Frattini quotient.  Everything downstream - centers,
+closures, lower central series, maximal subgroups, and the exhaustive
+homomorphism searches - runs vectorized over those arrays.  The tables are
+one int32 slab of p rows per base-p digit of the canonical index (about
+20 MB at order 7^6); orders with p * n >= 2^31 are refused.  Each pc
+generator's translation row comes from `FiniteQuotient.reduce_arrays`,
+which runs the collection and the rewriting for all elements at once on
+int64 arrays, and is checked to be a permutation of canonical indices; the
+rows of its p-th power steps are compositions of that row.
 `consistency_check` certifies exactly that the tables are a group law
 (`quotients._group_certificate`) and cross-validates them against
 symbolic `FiniteQuotient.reduce`, an independent code path.
@@ -58,35 +61,59 @@ _SEARCH_BOUND = 10_000
 
 
 class DenseGroup:
-    """Index-level view of a finite quotient."""
+    """Index-level view of a finite quotient.
+
+    Every modulus of a p-group quotient is a power of p, so the canonical
+    index is a base-p number.  Its digit of stride ``st * p^j``, with ``st``
+    the stride of pc symbol k, is the exponent of the step ``g_k^(p^j)`` of
+    the pc series refined to relative order p (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, ch. 8).  The tables hold one
+    ``(p, n)`` int32 slab per digit t, whose row e sends index a to the
+    index of ``a * g_t^e``; `mult` walks the digits with flat gathers.
+    `_strides`, `_moduli` and `_exps` are per digit, in pc order and, within
+    a symbol, lowest digit first.
+    """
 
     def __init__(self, quotient: FiniteQuotient):
         self.quotient = quotient
-        self.n = quotient.order
-        self.p = quotient.prime
+        self.n = n = quotient.order
+        self.p = p = quotient.prime
+        if p * n >= 2 ** 31:
+            raise QuotientError(
+                f"{quotient.label}: order {n} overflows int32 tables")
         self.pc_syms = quotient.pc_symbols
-        self._moduli = [quotient.moduli[s] for s in self.pc_syms]
-        self._strides = [quotient._strides[s] for s in self.pc_syms]
-        idx = np.arange(self.n, dtype=np.int64)
-        self._exps = [
-            (idx // st) % m for st, m in zip(self._strides, self._moduli)
-        ]
+        idx = np.arange(n, dtype=np.int64)
         # Every row is computed, and checked, before any slab is allocated,
         # so the collector's temporaries never sit beside this group's slabs.
-        rows = [self._translation_row(s, idx) for s in self.pc_syms]
+        letters = [(s, (idx // quotient._strides[s]) % quotient.moduli[s])
+                   for s in self.pc_syms]
+        rows = [self._translation_row(s, idx, letters) for s in self.pc_syms]
+        del letters
+        self._strides: list[int] = []
         self.slabs: list[np.ndarray] = []
-        for m, row in zip(self._moduli, rows):
-            tab = np.empty((m, self.n), dtype=np.int64)
-            tab[0] = idx
-            tab[1] = row
-            for e in range(2, m):
-                tab[e] = row[tab[e - 1]]
-            self.slabs.append(tab)
+        for s, row in zip(self.pc_syms, rows):
+            st, m = quotient._strides[s], quotient.moduli[s]
+            row = row.astype(np.int32)
+            while m > 1:  # one slab per digit; row becomes g^(p^j) each time
+                tab = np.empty((p, n), dtype=np.int32)
+                tab[0] = idx
+                tab[1] = row
+                for e in range(2, p):
+                    tab[e] = row[tab[e - 1]]
+                self.slabs.append(tab)
+                self._strides.append(st)
+                row = row[tab[-1]]
+                st *= p
+                m //= p
+        self._moduli = [p] * len(self.slabs)
+        self._exps = [((idx // st) % p).astype(np.int32) for st in self._strides]
+        # digit * n: where that digit's row starts in its flattened slab
+        self._offsets = [e * n for e in self._exps]
 
-    def _translation_row(self, s: int, idx: np.ndarray) -> np.ndarray:
-        """Index of g * s for every element index g, by array reduction."""
+    def _translation_row(self, s: int, idx: np.ndarray, letters) -> np.ndarray:
+        """Index of g * s for every element index g, by array reduction;
+        ``letters`` spells every g as its pc symbols and exponents."""
         q = self.quotient
-        letters = list(zip(self.pc_syms, self._exps))
         exps = q.reduce_arrays(letters + [(s, np.ones(self.n, dtype=np.int64))])
         row = np.zeros(self.n, dtype=np.int64)
         for t, e in enumerate(exps):
@@ -108,15 +135,17 @@ class DenseGroup:
         aa = np.asarray(a, dtype=np.int64)
         bb = np.asarray(b, dtype=np.int64)
         shape = np.broadcast_shapes(aa.shape, bb.shape)
-        if not self.pc_syms:
-            res = np.zeros(shape, dtype=np.int64)
-            return res if shape else 0
+        # the flat gathers would read a neighbouring row for an index a
+        # outside [0, n), and the offset lookup wraps a negative b
+        for x in (aa, bb):
+            if x.size and (x.min() < 0 or x.max() >= self.n):
+                raise IndexError(f"element index outside [0, {self.n})")
         out = np.broadcast_to(aa, shape)
-        for k in range(len(self.pc_syms)):
-            # b's exponents are taken on b's own shape and broadcast by the
-            # lookup, which saves a full-shape division per pc symbol
-            e = (bb // self._strides[k]) % self._moduli[k]
-            out = self.slabs[k][e, out]
+        # a * b = a * g_1^d_1(b) * ... * g_T^d_T(b): row d_t(b) of slab t
+        # starts at offset d_t(b) * n of the flattened slab, so each step is
+        # one 1-D gather
+        for slab, off in zip(self.slabs, self._offsets):
+            out = slab.ravel().take(out + off[bb])
         return out if shape else int(out)
 
     @cached_property
@@ -190,7 +219,8 @@ class DenseGroup:
         against the computed Frattini subgroup once per group."""
         q = self.quotient
         w1 = [s for s in self.pc_syms if s < q.basis.rank]
-        cols = [self._exps[self.pc_syms.index(s)] % self.p for s in w1]
+        idx = np.arange(self.n, dtype=np.int64)
+        cols = [(idx // q._strides[s]) % self.p for s in w1]
         coords = (np.stack(cols, axis=1) if cols
                   else np.zeros((self.n, 0), dtype=np.int64))
         coords = coords.astype(np.int64)
@@ -240,8 +270,8 @@ class DenseGroup:
     def center_indices(self) -> np.ndarray:
         idx = np.arange(self.n, dtype=np.int64)
         mask = np.ones(self.n, dtype=bool)
-        for k in range(len(self.pc_syms)):
-            g = int(self.slabs[k][1, 0])  # the k-th pc generator itself
+        for s in self.pc_syms:
+            g = self.quotient._strides[s]  # the index of pc generator s
             mask &= self.mult(idx, g) == self.mult(g, idx)
         return np.flatnonzero(mask)
 

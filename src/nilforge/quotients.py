@@ -827,11 +827,15 @@ def consistency_check(q: FiniteQuotient, seed: int = 0) -> ConsistencyReport:
 
 def _group_certificate(q: FiniteQuotient, dense) -> tuple[bool, str]:
     """Exact proof that `dense.mult` is the law of a group of order n that
-    is an image of F/N, at every order, in O(n) work per pc symbol.
+    is an image of F/N, at every order, in O(n) work per slab.
 
-    With rho_k the slab row 1 of pc symbol k, P = <rho_k> and
-    pi_b = rho_1^b_1 ... rho_K^b_K, `mult(a, b)` is a . pi_b.  Let
-    lam_k = mult(e_k, .) with e_k the index of pc symbol k.
+    The slabs are per base-p digit of the index (see `lab.DenseGroup`).
+    With rho_k the slab row 1 of digit k, b_k the digit k of b,
+    P = <rho_k> and pi_b = rho_1^b_1 ... rho_K^b_K, `mult(a, b)` is
+    a . pi_b.  Let lam_k = mult(e_k, .) with e_k the stride of digit k,
+    the index of its step g^(p^j).  The argument holds for any family of
+    row permutations, so it does not depend on how the digits refine the
+    pc symbols.
     1. slabs: each row 1 permutes range(n), row 0 is the identity and row
        e is row 1 after row e-1, so every pi_b lies in P and pi_0 = id;
     2. right orbit: 0 . pi_b = b, so P is transitive;

@@ -11,16 +11,15 @@ from nilforge.lab import DenseGroup
 from nilforge.quotients import FiniteQuotient, QuotientError, standard_quotient
 
 
-def symbolic_rows(q):
-    """Rows as the tables used to be made: one symbolic reduction per element."""
-    rows = []
-    for s in q.pc_symbols:
-        row = np.empty(q.order, dtype=np.int64)
-        for g in range(q.order):
-            letters = [(i, e) for i, e in enumerate(q.decode(g)) if e]
-            row[g] = q.reduce_letters(letters + [(s, 1)]).index()
-        rows.append(row)
-    return rows
+def symbolic_row(q, h):
+    """Right translation by element index h, as the tables used to be made:
+    one symbolic reduction per element."""
+    tail = [(i, e) for i, e in enumerate(q.decode(h)) if e]
+    row = np.empty(q.order, dtype=np.int64)
+    for g in range(q.order):
+        letters = [(i, e) for i, e in enumerate(q.decode(g)) if e]
+        row[g] = q.reduce_letters(letters + tail).index()
+    return row
 
 
 @pytest.mark.parametrize("kind,p,r", [
@@ -29,12 +28,42 @@ def symbolic_rows(q):
     ("DH_M_r", 5, 1),
 ])
 def test_dense_rows_match_symbolic_reduce(kind, p, r):
+    # one slab per base-p digit; row 1 of digit t translates by the element
+    # of index _strides[t], the step g^(p^j), which the build composes from
+    # the row of g
     q = standard_quotient(kind, p, r)
     dense = DenseGroup(q)
-    rows = symbolic_rows(q)
-    assert len(rows) == len(dense.slabs)
-    for slab, row in zip(dense.slabs, rows):
-        assert np.array_equal(slab[1], row)
+    assert p ** len(dense.slabs) == q.order
+    for stride, slab in zip(dense._strides, dense.slabs):
+        assert np.array_equal(slab[1], symbolic_row(q, stride))
+
+
+def test_dense_tables_are_int32_digit_slabs():
+    # DH_M_r at p = 7: x, y, z of modulus 49 give six digits of 7 rows
+    q = standard_quotient("DH_M_r", 7, 1)
+    dense = DenseGroup(q)
+    assert all(t.dtype == np.int32 and t.shape == (7, q.order)
+               for t in dense.slabs)
+    assert sum(t.nbytes for t in dense.slabs) == 4 * 7 * 117649 * 6 == 19_765_032
+
+
+def test_dense_group_rejects_int32_overflow():
+    # order 23^6: p * n >= 2^31, refused before any reduction or allocation
+    q = standard_quotient("DH_M_r", 23, 1)
+    with pytest.raises(QuotientError, match="int32"):
+        DenseGroup(q)
+
+
+def test_mult_rejects_out_of_range_indices():
+    # a flat gather would read a neighbouring row of the slab for an a
+    # outside [0, n), and the digit lookup would wrap a negative b
+    dense = standard_quotient("N_r", 5, 2).dense
+    n = dense.n
+    for a, b in [(n + 1, 0), (-1, 0), (0, n), (0, -1),
+                 (np.array([0, n]), 1), (np.arange(3)[:, None], np.array([[0, -2]]))]:
+        with pytest.raises(IndexError):
+            dense.mult(a, b)
+    assert dense.mult(n - 1, 0) == n - 1
 
 
 def random_words(rng, basis, count, length, bound):

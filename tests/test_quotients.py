@@ -275,29 +275,32 @@ def test_group_certificate_passes(relset):
 
 @pytest.mark.parametrize("kind,p,r", [("N_r", 5, 2), ("K", 7, None)])
 def test_group_certificate_rejects_swapped_row(kind, p, r):
-    # swap two entries of the first pc symbol's row 1 off the cycle of 0 and
-    # recompute that slab's powers: every row stays a permutation and the
-    # right orbit of 0 is untouched, but the table is no group law
-    q = _fresh(kind, p, r)
-    dense = q.dense
-    tab = dense.slabs[0]
-    row = tab[1]
-    cycle = {0}
-    x = int(row[0])
-    while x:
-        cycle.add(x)
-        x = int(row[x])
-    a, b = [i for i in range(q.order) if i not in cycle][:2]
-    row[[a, b]] = row[[b, a]]
-    for e in range(2, tab.shape[0]):
-        tab[e] = row[tab[e - 1]]
-    idx = np.arange(q.order, dtype=np.int64)
-    assert all((np.sort(t, axis=1) == idx).all() for t in dense.slabs)
-    assert (dense.mult(0, idx) == idx).all()
-    checks = {name: (ok, detail) for name, ok, detail in consistency_check(q).checks}
-    assert checks["group-certificate"] == (
-        False, "left and right translations do not commute")
-    assert "dense-bridge" not in checks
+    # swap two entries of row 1 of a digit slab - the first pc symbol x, then
+    # its step x^p - off the points that mult(0, .) reaches through that
+    # slab, and recompute that slab's powers: every row stays a permutation
+    # and the right orbit of 0 is untouched, but the table is no group law
+    for digit in (0, 1):
+        q = _fresh(kind, p, r)
+        dense = q.dense
+        assert dense._strides[digit] == p ** digit * dense._strides[0]
+        # mult(0, b) runs this slab only through the b whose later digits
+        # are 0
+        reached = np.flatnonzero(
+            np.all([e == 0 for e in dense._exps[digit + 1:]], axis=0))
+        tab = dense.slabs[digit]
+        row = tab[1]
+        a, b = np.setdiff1d(np.arange(q.order), reached)[:2]
+        row[[a, b]] = row[[b, a]]
+        for e in range(2, tab.shape[0]):
+            tab[e] = row[tab[e - 1]]
+        idx = np.arange(q.order, dtype=np.int64)
+        assert all((np.sort(t, axis=1) == idx).all() for t in dense.slabs)
+        assert (dense.mult(0, idx) == idx).all()
+        checks = {name: (ok, detail)
+                  for name, ok, detail in consistency_check(q).checks}
+        assert checks["group-certificate"] == (
+            False, "left and right translations do not commute")
+        assert "dense-bridge" not in checks
 
 
 def test_consistency_reports_out_of_range_slab_entry():
