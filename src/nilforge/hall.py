@@ -3,8 +3,7 @@
 A group is described by an ordered Hall basis of basic commutators.  Every
 element has a unique normal form ``s_1^{e_1} * s_2^{e_2} * ... * s_n^{e_n}``
 with the symbols in basis order and arbitrary integer exponents; `collect`
-rewrites any word of basis letters into that form by collection from the
-left.
+rewrites any word of basis letters into that form.
 
 The only rewriting data a class-<=3 basis needs is, per out-of-order symbol
 pair ``(a, b)`` with ``a`` after ``b``, the bracket ``t = [a, b]`` together
@@ -15,8 +14,15 @@ with ``u = [t, b]`` and ``v = [t, a]``.  Conjugation then has the closed form
 because ``u`` and ``v`` are central and ``t`` commutes with both.  The rule
 tables are derived from the defining brackets of the basis, never entered by
 hand, and each table is checked against the truncated-series oracle when the
-basis is built (see `nilforge.series`).  `_collect_arrays` runs the same
-collection on int64 exponent arrays, one word per entry.
+basis is built (see `nilforge.series`).
+
+`_collect_letters` is collection from the left (M. R. Vaughan-Lee,
+"Collection from the left", J. Symbolic Comput. 9 (1990) 725-733): the
+collected prefix is an exponent vector, and the next letter ``b^n`` moves
+left past the non-central tail ``a_1^m_1 ... a_k^m_k`` above it in one step,
+by the closed form applied to each ``a_i^m_i``; the conjugated tail goes on a
+stack of pending letters.  `_collect_arrays` runs the same swap rule on int64
+exponent arrays, one word per entry, by adjacent swaps in a letter list.
 """
 
 from __future__ import annotations
@@ -88,6 +94,12 @@ class NilpotentBasis:
         self.symbols = tuple(symbols)
         self._validate()
         self._swap = self._derive_swap_rules()
+        # weights never decrease, so the central symbols (full weight) are a
+        # suffix of the order, starting at _central_from
+        self._central_from = next(
+            (i for i, s in enumerate(self.symbols) if s.weight == nilpotency_class),
+            len(self.symbols))
+        self._left_rows = self._derive_left_rows()
         self.identity = FreeNilElement(self, (0,) * len(self.symbols))
         self._series_cache: dict[int, object] = {}
         if _verify:
@@ -150,6 +162,15 @@ class NilpotentBasis:
                     tuple((s, c) for s, c in sorted(v.items()) if c),
                 )
         return rules
+
+    def _derive_left_rows(self):
+        # row s: (t, T, U, V) for each non-central t after s, where T, U, V
+        # are the swap-rule parts of (t, s), empty when t and s commute
+        none = ((), (), ())
+        return tuple(
+            tuple((t, *self._swap.get((t, s), none))
+                  for t in range(s + 1, self._central_from))
+            for s in range(len(self.symbols)))
 
     def _verify_rules(self) -> None:
         # Check every swap rule, and every commuting pair, against truncated
@@ -236,61 +257,53 @@ _COLLECT_GUARD = 4_000_000
 
 
 def _collect_letters(basis: NilpotentBasis, letters) -> tuple[int, ...]:
-    rules = basis._swap
-    w: list[list[int]] = []
-    for s, e in letters:
-        if e == 0:
-            continue
-        if w and w[-1][0] == s:
-            w[-1][1] += e
-            if w[-1][1] == 0:
-                w.pop()
-        else:
-            w.append([s, e])
+    return _collect_onto(basis, basis.identity.exponents, letters)
 
-    i = 0
+
+def _collect_onto(basis: NilpotentBasis, start: tuple[int, ...],
+                  letters) -> tuple[int, ...]:
+    """Normal form of the normal form ``start`` times the word ``letters``.
+
+    Collection from the left.  ``hi`` bounds the last nonzero non-central
+    symbol of the vector, so a letter ``s^e`` with ``s >= hi`` is just added.
+    Otherwise each nonzero non-central ``t^k`` after ``s`` is cleared and,
+    conjugated by ``s^e``, pushed back as ``t^k T^(e*k) U^(C(e,2)*k)
+    V^(C(k,2)*e)`` ahead of the remaining letters.  Central exponents stay
+    in place: they commute with every letter.
+    """
+    exps = list(start)
+    rows = basis._left_rows
+    top = basis._central_from
+    hi = top - 1
+    while hi > 0 and not exps[hi]:
+        hi -= 1
+    stack = list(letters)
+    stack.reverse()
     steps = 0
-    while i + 1 < len(w):
+    while stack:
+        s, e = stack.pop()
+        if s >= hi:
+            exps[s] += e
+            if s < top:
+                hi = s
+            continue
         steps += 1
         if steps > _COLLECT_GUARD:  # pragma: no cover - safety net
             raise RuntimeError("collection failed to terminate")
-        a, m = w[i]
-        b, n = w[i + 1]
-        if a == b:
-            m += n
-            del w[i + 1]
-            if m == 0:
-                del w[i]
-            else:
-                w[i][1] = m
-            if i:
-                i -= 1
-            continue
-        if a > b:
-            seg = [[b, n], [a, m]]
-            rule = rules.get((a, b))
-            if rule is not None:
-                t, u, v = rule
-                for part, coef in ((t, n * m), (u, _comb2(n) * m), (v, _comb2(m) * n)):
-                    if coef:
-                        for sym, k in part:
-                            e2 = k * coef
-                            if e2:
-                                if seg[-1][0] == sym:
-                                    seg[-1][1] += e2
-                                    if seg[-1][1] == 0:
-                                        seg.pop()
-                                else:
-                                    seg.append([sym, e2])
-            w[i:i + 2] = seg
-            if i:
-                i -= 1
-            continue
-        i += 1
-
-    exps = [0] * basis.size
-    for s, e in w:
+        moved = []
+        for t, T, U, V in rows[s]:
+            k = exps[t]
+            if k:
+                exps[t] = 0
+                moved.append((t, k))
+                for part, c in ((T, e * k), (U, _comb2(e) * k), (V, _comb2(k) * e)):
+                    if c:
+                        for sym, a in part:
+                            moved.append((sym, a * c))
+        moved.reverse()
+        stack += moved
         exps[s] += e
+        hi = s
     return tuple(exps)
 
 
@@ -307,6 +320,11 @@ def _bounded(e: np.ndarray) -> np.ndarray:
 
 def _collect_arrays(basis: NilpotentBasis, letters, size: int) -> list[np.ndarray]:
     """`_collect_letters` on int64 exponent arrays of length ``size``.
+
+    The swap rule is the same, the strategy is not: this walks a letter list
+    and swaps adjacent out-of-order letters, where `_collect_onto` collects
+    from the left onto a vector, so the dense tables built from this and the
+    scalar oracle that checks them share no collection loop.
 
     Letters are ``(symbol, array)`` pairs; entry i of the result is the
     normal form of the word made of entry i of every letter.  A letter is
@@ -439,7 +457,7 @@ def _same_basis(a: FreeNilElement, b: FreeNilElement) -> NilpotentBasis:
 
 def multiply(a: FreeNilElement, b: FreeNilElement) -> FreeNilElement:
     basis = _same_basis(a, b)
-    return FreeNilElement(basis, _collect_letters(basis, a.letters() + b.letters()))
+    return FreeNilElement(basis, _collect_onto(basis, a.exponents, b.letters()))
 
 
 def inverse(a: FreeNilElement) -> FreeNilElement:

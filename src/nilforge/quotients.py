@@ -37,6 +37,7 @@ from .hall import (
     _bounded,
     _collect_arrays,
     _collect_letters,
+    _collect_onto,
     builtin_basis,
     collect,
     inverse,
@@ -256,40 +257,36 @@ class _Builder:
                 for s, tail in self.subs.items()]
 
 
-def _emit(s, e, rule, out, cache, depth, limit) -> bool:
-    """Append the reduction of one letter s^e, exponent kept inside the
-    symbol's modulus; overflow is routed through the symbol's tail.  Returns
-    whether anything was rewritten.  Reducing an emitted exponent only drops
-    powers of relators, so the coset is preserved wherever the letter sits.
+def _emit(s, e, r, rule, out, cache, depth, limit) -> None:
+    """Append the reduction of one letter s^e that its rule ``r = rule(s)``
+    rewrites: the exponent is kept inside the symbol's modulus and overflow
+    is routed through the symbol's tail.  A nonzero letter is kept as it is,
+    without a call to this, when its rule is ``None`` or ``0 <= e < m``
+    (which needs ``m > 1``).  Reducing an emitted exponent only drops powers
+    of relators, so the coset is preserved wherever the letter sits.
 
     ``limit`` bounds the bit size of recursively emitted exponents: a sound
     rule table keeps them within a constant of the input, while a divergent
     substitution chain doubles them per level and is cut off while powers
     are still cheap to form.
     """
-    if e == 0:
-        return False
-    if depth > 40 or (depth and abs(e).bit_length() > limit):
-        raise QuotientError("substitution chains did not stabilize")
-    r = rule(s)
-    if r is None:
-        out.append((s, e))
-        return False
     m, tail = r
     if m == 1:
-        if not tail.is_identity():
-            for t, k in _tail_power_letters(tail, e, s, m, cache):
-                _emit(t, k, rule, out, cache, depth + 1, limit)
-        return True
-    q, rem = divmod(e, m)
-    if rem:
-        out.append((s, rem))
-    if q:
-        if not tail.is_identity():
-            for t, k in _tail_power_letters(tail, q, s, m, cache):
-                _emit(t, k, rule, out, cache, depth + 1, limit)
-        return True
-    return False
+        q = e
+    else:
+        q, rem = divmod(e, m)
+        if rem:
+            out.append((s, rem))
+    if tail.is_identity():
+        return
+    for t, k in _tail_power_letters(tail, q, s, m, cache):
+        if depth >= 40 or abs(k).bit_length() > limit:
+            raise QuotientError("substitution chains did not stabilize")
+        rt = rule(t)
+        if rt is None or 0 <= k < rt[0]:
+            out.append((t, k))
+        else:
+            _emit(t, k, rt, rule, out, cache, depth + 1, limit)
 
 
 def _power_support_closure(basis, tail: FreeNilElement) -> set[int]:
@@ -314,19 +311,23 @@ def _rewrite_fixpoint(basis, elem, rule, tailpow_cache, cap=_REWRITE_CAP) -> Fre
     # Exponent sizes may square once (cross terms of the input letters) and
     # then grow additively; doubling round over round means a divergent rule
     # table, caught here while the integers are still small.
-    bits = max((abs(e).bit_length() for _s, e in elem.letters()), default=1)
-    allowed = 2 * bits + 8192
+    vec = elem.exponents
+    allowed = 2 * max(max(vec), -min(vec), 1).bit_length() + 8192
     for _ in range(cap):
         changed = False
         letters: list[tuple[int, int]] = []
-        for s, e in elem.letters():
-            if _emit(s, e, rule, letters, tailpow_cache, 0, allowed):
-                changed = True
+        for s, e in enumerate(vec):
+            if e:
+                r = rule(s)
+                if r is None or 0 <= e < r[0]:
+                    letters.append((s, e))
+                else:
+                    _emit(s, e, r, rule, letters, tailpow_cache, 0, allowed)
+                    changed = True
         if not changed:
-            return elem
-        elem = FreeNilElement(basis, _collect_letters(basis, letters))
-        if max((abs(e).bit_length() for _s, e in elem.letters()),
-               default=1) > allowed:
+            return elem if vec is elem.exponents else FreeNilElement(basis, vec)
+        vec = _collect_letters(basis, letters)
+        if max(max(vec), -min(vec)).bit_length() > allowed:
             raise QuotientError("rewriting exponents grow without bound")
     raise QuotientError("rewriting did not reach a fixpoint")
 
@@ -688,7 +689,8 @@ class FiniteQuotient:
     def pc_multiply(self, a: PcElement, b: PcElement) -> PcElement:
         if a.quotient is not self or b.quotient is not self:
             raise QuotientError("elements from a different quotient")
-        return self.reduce_letters(a.letters() + b.letters())
+        return self.reduce(FreeNilElement(
+            self.basis, _collect_onto(self.basis, a.vector, b.letters())))
 
     def pc_inverse(self, a: PcElement) -> PcElement:
         letters = [(s, -e) for s, e in reversed(a.letters())]
@@ -725,6 +727,9 @@ class FiniteQuotient:
         return idx
 
     def decode(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.order:
+            raise QuotientError(
+                f"index {index} outside [0, {self.order}) in {self.label}")
         vec = [0] * self.basis.size
         for s in self.pc_symbols:
             vec[s], index = divmod(index, self._strides[s])

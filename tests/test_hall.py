@@ -4,6 +4,7 @@ import pytest
 
 from nilforge.hall import (
     BasisError,
+    _collect_onto,
     FreeEndomorphism,
     GroupWord,
     IntMatrix,
@@ -251,6 +252,23 @@ def test_oracle_equivalence_sample(basis):
     for _ in range(1500):
         word = rand_word(rng, basis)
         assert magnus_embed(collect(basis, word)) == word_series(basis, word)
+
+
+@pytest.mark.parametrize("basis", [F23, F32], ids=["F23", "F32"])
+def test_collect_large_and_negative_exponents(basis):
+    # exponents up to 10^4 in size reach C(n, 2) of large negatives, which
+    # the +-9 words above do not; collecting the tail of a word onto the
+    # normal form of its head equals collecting the whole word
+    rng = random.Random(41)
+    for _ in range(300):
+        word = [(rng.randrange(basis.size),
+                 rng.choice((-1, 1)) * rng.randint(1, 10 ** 4))
+                for _ in range(rng.randrange(0, 12))]
+        whole = collect(basis, word)
+        assert magnus_embed(whole) == word_series(basis, word)
+        k = rng.randrange(len(word) + 1)
+        head = collect(basis, word[:k]).exponents
+        assert _collect_onto(basis, head, word[k:]) == whole.exponents
 
 
 def test_series_injective_on_small_forms():

@@ -9,6 +9,7 @@ from nilforge.lab import DenseGroup
 from nilforge.quotients import (
     FiniteQuotient,
     InfiniteIndexError,
+    QuotientError,
     RelatorSet,
     _group_certificate,
     consistency_check,
@@ -193,6 +194,32 @@ def test_independence_of_moduli_from_r():
     assert len(shapes) == 1
 
 
+@pytest.mark.parametrize("kind,p,r", [("N_r", 5, 1), ("K", 7, None), ("DH_M_r", 5, 1)])
+def test_reduce_powers_of_symbols_match_tables(kind, p, r):
+    # every exponent around the rewrite boundaries -1, 0, m-1 and m of each
+    # symbol, with m its modulus or p when it is eliminated: in N_r(5, 1)
+    # [y,x,x] is substituted by x^5, and DH_M_r swaps [y,x] past z
+    q = standard_quotient(kind, p, r)
+    dense = q.dense
+    for s in range(q.basis.size):
+        m = q.moduli[s] if q.moduli[s] > 1 else p
+        g = q.basis.generator(s)
+        base = q.reduce(g).index()
+        for e in range(-2 * m - 1, 2 * m + 2):
+            assert q.reduce(power(g, e)).index() == dense.power(base, e), (s, e)
+
+
+def test_decode_rejects_out_of_range_indices():
+    q = standard_quotient("N_r", 5, 1)
+    assert q.order == 625
+    assert q.decode(624) == (24, 4, 4, 0, 0)
+    for idx in (625, -1):
+        with pytest.raises(QuotientError):
+            q.decode(idx)
+        with pytest.raises(QuotientError):
+            q.dense.element(idx)
+
+
 # -- consistency ---------------------------------------------------------------------
 
 def test_consistency_check_passes():
@@ -210,6 +237,29 @@ def test_consistency_check_sampled_mode():
     assert rep.passed, rep.failures()
     details = {name: detail for name, _ok, detail in rep.checks}
     assert details["reduce-retraction"].startswith("sampled")
+
+
+def test_dense_bridge_runs_on_the_symbolic_oracle(monkeypatch):
+    # once the tables exist, the sampled pairs are multiplied by the scalar
+    # oracle alone: dense-bridge never compares the array engine with itself
+    q = make_quotient(standard_relators("N_r", 5, 1))
+    q.dense
+
+    def refuse(self, letters):
+        raise AssertionError("array reduction after the tables were built")
+
+    products = []
+    pc_multiply = FiniteQuotient.pc_multiply
+
+    def counted(self, a, b):
+        products.append((a, b))
+        return pc_multiply(self, a, b)
+
+    monkeypatch.setattr(FiniteQuotient, "reduce_arrays", refuse)
+    monkeypatch.setattr(FiniteQuotient, "pc_multiply", counted)
+    rep = consistency_check(q)
+    assert rep.passed, rep.failures()
+    assert len(products) == min(10_000, q.order * q.order)
 
 
 def test_consistency_detects_corruption():

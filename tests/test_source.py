@@ -42,3 +42,42 @@ def test_no_module_level_mutable_state_in_sources():
                  and [ast.unparse(t) for t in node.targets] == ["__all__"])
     ]
     assert not found, f"module-level mutable state in the sources: {found}"
+
+
+# The scalar symbolic oracle, per module, and the names of the array engine
+# that builds the dense tables.  The oracle checks those tables
+# (`dense-bridge`), so it must not reach the engine it checks.
+SCALAR_PATH = {
+    "hall.py": {"_collect_letters", "_collect_onto"},
+    "quotients.py": {"_emit", "_rewrite_fixpoint", "_tail_power_letters",
+                     "FiniteQuotient.reduce", "FiniteQuotient.reduce_letters",
+                     "FiniteQuotient.pc_multiply"},
+}
+ARRAY_ENGINE = {"_collect_arrays", "_rewrite_arrays", "_emit_arrays",
+                "_newton_letters", "reduce_arrays", "np"}
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_scalar_oracle_is_independent_of_the_array_engine():
+    seen = set()
+    found = []
+    for path in SOURCES:
+        wanted = SCALAR_PATH.get(path.name, set())
+        for name, node in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            if name not in wanted:
+                continue
+            seen.add((path.name, name))
+            used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            used |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            found += [f"{path.name}:{name} uses {ref}" for ref in sorted(used & ARRAY_ENGINE)]
+    assert seen == {(mod, name) for mod, names in SCALAR_PATH.items() for name in names}
+    assert not found, found
