@@ -39,7 +39,6 @@ from .lab import (
     FrattiniMatrix,
     Homomorphism,
     SeriesInvariants,
-    SubgroupHandle,
     all_isomorphisms,
     automorphism_count,
     induced_frattini_matrix,

@@ -106,13 +106,13 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
         basis = builtin_basis("F23")
         for r, q in quots.items():
             ms = lab.maximal_subgroups(q)
-            abelians = [m for m in ms if m.is_abelian]
             dense = q.dense
+            abelians = [m for m in ms if dense.is_abelian(m)]
             m_img = dense.normal_closure(
                 [q.reduce(power(basis.generator(0), p)).index(),
                  q.reduce(basis.generator(1)).index()])
             preimage_ok = (len(abelians) == 1
-                           and np.array_equal(abelians[0].indices, m_img))
+                           and np.array_equal(abelians[0], m_img))
             counts[f"N_{r}"] = (f"maximal={len(ms)},abelian={len(abelians)},"
                                 f"preimage_is_M={preimage_ok}")
             ok &= len(ms) == p + 1 and preimage_ok

@@ -29,7 +29,6 @@ import numpy as np
 from .lab import (
     FrattiniMatrix,
     Homomorphism,
-    SubgroupHandle,
     _column_dets,
     _relator_masks,
     _transport_tuples,
@@ -99,10 +98,9 @@ def verify_structure(p: int, r: int) -> StructureReport:
     derived = functors["derived"]
     center = functors["center"]
     agemo = functors["agemo_p"]
-    same = (np.array_equal(derived.indices, center.indices)
-            and np.array_equal(derived.indices, agemo.indices))
-    return StructureReport(p, r, q.order, p ** 6, derived.order,
-                           center.order, agemo.order, same)
+    same = np.array_equal(derived, center) and np.array_equal(derived, agemo)
+    return StructureReport(p, r, q.order, p ** 6, derived.size,
+                           center.size, agemo.size, same)
 
 
 def scaling_isomorphism(p: int, r: int) -> Homomorphism:
@@ -319,25 +317,21 @@ def characteristic_check(p: int, lifts: list[MatrixLiftCandidate] | None = None
 
     functors = subgroup_functors(q)
     derived = functors["derived"]
-    x_img = q.generator_image(0)
-    y_img = q.generator_image(1)
-    h1 = SubgroupHandle(q, dense.closure(
-        list(derived.indices) + [x_img.index()]))
-    h2 = SubgroupHandle(q, dense.closure(
-        list(derived.indices) + [x_img.index(), y_img.index()]))
-    h3 = SubgroupHandle(q, dense.closure(
-        list(derived.indices) + [y_img.index()]))
+    x = q.generator_image(0).index()
+    y = q.generator_image(1).index()
+    h1 = dense.closure(np.append(derived, x))
+    h2 = dense.closure(np.append(derived, [x, y]))
+    h3 = dense.closure(np.append(derived, y))
     center = functors["center"]
-    center_inside = (np.isin(center.indices, h1.indices).all()
-                     and np.isin(center.indices, h2.indices).all())
+    center_inside = np.isin(center, h1).all() and np.isin(center, h2).all()
 
     xs = _lift_indices(q, [cand.images[0] for cand in lifts])
     ys = _lift_indices(q, [cand.images[1] for cand in lifts])
     # the lift sends G' into G' (images of commutators are commutators),
     # so <G', g> is preserved exactly when the image of g stays inside
-    h1_ok = bool(np.isin(xs, h1.indices).all())
-    h2_ok = bool(np.isin(xs, h2.indices).all() and np.isin(ys, h2.indices).all())
-    h3_moved = not np.isin(ys, h3.indices).all()
+    h1_ok = bool(np.isin(xs, h1).all())
+    h2_ok = bool(np.isin(xs, h2).all() and np.isin(ys, h2).all())
+    h3_moved = not np.isin(ys, h3).all()
     return CharacteristicReport(p, order, closed, p_power, det_one,
                                 contains_shear, bool(center_inside),
                                 h1_ok, h2_ok, h3_moved)

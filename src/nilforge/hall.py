@@ -546,12 +546,6 @@ class IntMatrix:
         self.entries = rows
         self.det = _det(rows)
 
-    def mod(self, p: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(x % p for x in row) for row in self.entries)
-
-    def det_mod(self, p: int) -> int:
-        return self.det % p
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         n = len(self.entries)
         if len(other.entries) != n:

@@ -5,7 +5,8 @@ wherever exhaustive search runs), so this module materializes a quotient as
 index arrays: translation tables, inverse and order arrays, and the
 projection onto the Frattini quotient.  Everything downstream - centers,
 closures, lower central series, maximal subgroups, and the exhaustive
-homomorphism searches - runs vectorized over those arrays.  The tables are
+homomorphism searches - runs vectorized over those arrays, and a subgroup
+is the sorted int64 array of its element indices.  The tables are
 one int32 slab of p rows per base-p digit of the canonical index (about
 20 MB at order 7^6); orders with p * n >= 2^31 are refused.  Each pc
 generator's translation row comes from `FiniteQuotient.reduce_arrays`,
@@ -41,7 +42,6 @@ from .quotients import FiniteQuotient, PcElement, QuotientError
 
 __all__ = [
     "DenseGroup",
-    "SubgroupHandle",
     "Homomorphism",
     "FrattiniMatrix",
     "subgroup_functors",
@@ -233,28 +233,37 @@ class DenseGroup:
 
     def _check_frattini_kernel(self, coords: np.ndarray) -> None:
         claimed = np.flatnonzero((coords % self.p == 0).all(axis=1))
-        gens = self.gen_indices()
-        pows = np.unique(self.power(np.arange(self.n, dtype=np.int64), self.p))
-        comms = [int(self.comm(a, b)) for a, b in combinations(gens, 2)]
-        phi = self.normal_closure(list(np.unique(pows)) + comms)
+        # G' and G^p are normal, so the closure of their union is G'G^p
+        f = self.functors
+        phi = self.closure(np.union1d(f["derived"], f["agemo_p"]))
         if not np.array_equal(phi, claimed):  # pragma: no cover - sanity
             raise QuotientError(
                 f"Frattini projection of {self.quotient.label} is inconsistent")
 
-    # -- subgroup machinery --------------------------------------------------------
+    # -- subgroups: sorted int64 index arrays ----------------------------------------
 
     def closure(self, gen_idxs: Sequence[int]) -> np.ndarray:
-        """Sorted indices of the subgroup generated by the given elements."""
+        """Sorted indices of the subgroup generated by the given elements.
+
+        The generators are taken in index order, and one that already lies
+        in the subgroup built so far is skipped; each new one extends that
+        subgroup by a frontier search over the generators chosen so far.
+        At most log_p(n) generators are new, so closing a subgroup plus a
+        few elements costs a search over the result only."""
+        gens = np.unique(np.asarray(gen_idxs, dtype=np.int64))
+        if gens.size and (gens[0] < 0 or gens[-1] >= self.n):
+            raise IndexError(f"element index outside [0, {self.n})")
         member = np.zeros(self.n, dtype=bool)
         member[0] = True
-        gens = np.unique(np.asarray(list(gen_idxs) or [0], dtype=np.int64))
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size:
-            prods = self.mult(frontier[:, None], gens[None, :]).ravel()
-            prods = np.unique(prods)
-            fresh = prods[~member[prods]]
-            member[fresh] = True
-            frontier = fresh
+        chosen = np.empty(0, dtype=np.int64)
+        while (gens := gens[~member[gens]]).size:
+            chosen = np.append(chosen, gens[0])
+            # the subgroup H is closed under the earlier generators, so a new
+            # element is h * gens[0] * w for some h in H and word w in chosen
+            frontier = self.mult(np.flatnonzero(member), gens[0])
+            while (frontier := np.unique(frontier[~member[frontier]])).size:
+                member[frontier] = True
+                frontier = self.mult(frontier[:, None], chosen[None, :]).ravel()
         return np.flatnonzero(member)
 
     def normal_closure(self, gen_idxs: Sequence[int]) -> np.ndarray:
@@ -275,6 +284,28 @@ class DenseGroup:
             mask &= self.mult(idx, g) == self.mult(g, idx)
         return np.flatnonzero(mask)
 
+    def is_abelian(self, S: np.ndarray) -> bool:
+        """Whether the elements with indices S commute pairwise."""
+        S = np.asarray(S, dtype=np.int64)
+        chunk = max(1, 4_000_000 // max(S.size, 1))
+        for start in range(0, S.size, chunk):
+            blk = S[start:start + chunk]
+            if not (self.mult(blk[:, None], S[None, :])
+                    == self.mult(S[None, :], blk[:, None])).all():
+                return False
+        return True
+
+    @cached_property
+    def functors(self) -> dict[str, np.ndarray]:
+        """The center, the derived subgroup and the subgroup generated by
+        the p-th powers, as sorted index arrays."""
+        gens = self.gen_indices()
+        comms = [int(self.comm(a, b)) for a, b in combinations(gens, 2)]
+        pows = self.power(np.arange(self.n, dtype=np.int64), self.p)
+        return {"center": self.center_indices(),
+                "derived": self.normal_closure(comms),
+                "agemo_p": self.closure(pows)}
+
     @cached_property
     def series(self) -> SeriesInvariants:
         """Order, exponent, class and lower central series orders."""
@@ -293,80 +324,18 @@ class DenseGroup:
         return SeriesInvariants(n, exponent, len(lcs) - 1, tuple(lcs))
 
 
-class SubgroupHandle:
-    """A subgroup of a finite quotient, materialized as an index set."""
-
-    def __init__(self, parent: FiniteQuotient, indices: np.ndarray):
-        self.parent = parent
-        self.indices = np.unique(np.asarray(indices, dtype=np.int64))
-        self._dense = parent.dense
-        if self.indices.size > _SCAN_BOUND:
-            raise QuotientError("subgroup too large to materialize")
-
-    @property
-    def order(self) -> int:
-        return int(self.indices.size)
-
-    def contains(self, g: PcElement) -> bool:
-        return bool(np.isin(g.index(), self.indices))
-
-    @cached_property
-    def generators(self) -> list[PcElement]:
-        dense = self._dense
-        chosen: list[int] = []
-        have = np.array([0], dtype=np.int64)
-        for idx in self.indices:
-            if not np.isin(idx, have):
-                chosen.append(int(idx))
-                have = dense.closure(chosen)
-        return [dense.element(i) for i in chosen]
-
-    def elements(self) -> frozenset[PcElement]:
-        return frozenset(self._dense.element(i) for i in self.indices)
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        dense = self._dense
-        S = self.indices
-        chunk = max(1, 4_000_000 // max(S.size, 1))
-        for start in range(0, S.size, chunk):
-            blk = S[start:start + chunk]
-            if not (dense.mult(blk[:, None], S[None, :])
-                    == dense.mult(S[None, :], blk[:, None])).all():
-                return False
-        return True
-
-    @cached_property
-    def is_normal(self) -> bool:
-        dense = self._dense
-        gens = np.asarray(dense.gen_indices(), dtype=np.int64)
-        conj = np.unique(dense.conj(self.indices[:, None], gens[None, :]))
-        return bool(np.isin(conj, self.indices).all())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubgroupHandle)
-                and self.parent is other.parent
-                and np.array_equal(self.indices, other.indices))
-
-    def __hash__(self):
-        return hash((id(self.parent), self.indices.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"SubgroupHandle(order={self.order} of {self.parent.label})"
-
-
-def subgroup_functors(q: FiniteQuotient) -> dict[str, SubgroupHandle]:
-    """Center, derived subgroup, and the subgroup of p-th powers."""
+def _scan_tables(q: FiniteQuotient) -> DenseGroup:
+    """The tables of q, refused before any is built when q is too large for
+    element scans."""
     if q.order > _SCAN_BOUND:
         raise QuotientError("group too large for element scans")
-    dense = q.dense
-    center = SubgroupHandle(q, dense.center_indices())
-    gens = dense.gen_indices()
-    comms = [int(dense.comm(a, b)) for a, b in combinations(gens, 2)]
-    derived = SubgroupHandle(q, dense.normal_closure(comms))
-    pows = np.unique(dense.power(np.arange(q.order, dtype=np.int64), dense.p))
-    agemo = SubgroupHandle(q, dense.closure(list(pows)))
-    return {"center": center, "derived": derived, "agemo_p": agemo}
+    return q.dense
+
+
+def subgroup_functors(q: FiniteQuotient) -> dict[str, np.ndarray]:
+    """Center, derived subgroup, and the subgroup of p-th powers, as sorted
+    index arrays (`DenseGroup.functors`)."""
+    return _scan_tables(q).functors
 
 
 @dataclass(frozen=True)
@@ -378,15 +347,14 @@ class SeriesInvariants:
 
 
 def series_invariants(q: FiniteQuotient) -> SeriesInvariants:
-    if q.order > _SCAN_BOUND:
-        raise QuotientError("group too large for element scans")
-    return q.dense.series
+    return _scan_tables(q).series
 
 
-def maximal_subgroups(q: FiniteQuotient) -> list[SubgroupHandle]:
-    """The maximal subgroups: preimages of the hyperplanes of the Frattini
-    quotient, one per normalized covector, (p^d - 1)/(p - 1) in total."""
-    dense = q.dense
+def maximal_subgroups(q: FiniteQuotient) -> list[np.ndarray]:
+    """The maximal subgroups as sorted index arrays: preimages of the
+    hyperplanes of the Frattini quotient, one per normalized covector,
+    (p^d - 1)/(p - 1) in total."""
+    dense = _scan_tables(q)
     coords = dense.coords
     d = dense.frattini_dim
     p = dense.p
@@ -396,8 +364,7 @@ def maximal_subgroups(q: FiniteQuotient) -> list[SubgroupHandle]:
         nz = np.flatnonzero(arr)
         if nz.size == 0 or arr[nz[0]] != 1:
             continue  # normalize: first nonzero coefficient is 1
-        mask = (coords @ arr) % p == 0
-        out.append(SubgroupHandle(q, np.flatnonzero(mask)))
+        out.append(np.flatnonzero((coords @ arr) % p == 0))
     return out
 
 

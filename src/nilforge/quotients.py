@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -734,10 +734,6 @@ class FiniteQuotient:
         for s in self.pc_symbols:
             vec[s], index = divmod(index, self._strides[s])
         return tuple(vec)
-
-    def all_elements(self) -> Iterable[PcElement]:
-        for idx in range(self.order):
-            yield PcElement(self, self.decode(idx))
 
     # -- serialization ---------------------------------------------------------
 

@@ -56,36 +56,26 @@ class TruncatedSeries:
         return TruncatedSeries(self.rank, deg, acc)
 
     def inverse(self) -> "TruncatedSeries":
-        if self.constant_term() != 1:
-            raise ValueError("only series with constant term 1 are inverted")
-        u = dict(self.terms)
-        u.pop((), None)
-        nilpart = TruncatedSeries(self.rank, self.degree, u)
-        out = TruncatedSeries.one(self.rank, self.degree)
-        acc = TruncatedSeries.one(self.rank, self.degree)
-        for k in range(1, self.degree + 1):
-            acc = acc * nilpart
-            if not acc.terms:
-                break
-            sign = -1 if k % 2 else 1
-            merged = dict(out.terms)
-            for m, c in acc.terms.items():
-                merged[m] = merged.get(m, 0) + sign * c
-            out = TruncatedSeries(self.rank, self.degree, merged)
-        return out
+        return self ** -1
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncatedSeries.one(self.rank, self.degree)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        """(1 + u)^n = sum_k C(n, k) u^k with u = self - 1, a finite sum for
+        every integer n because u^k vanishes beyond the degree."""
+        if self.constant_term() != 1:
+            raise ValueError("only series with constant term 1 have powers")
+        u = TruncatedSeries(self.rank, self.degree,
+                            {m: c for m, c in self.terms.items() if m})
+        acc = {(): 1}
+        uk = TruncatedSeries.one(self.rank, self.degree)
+        binom = 1
+        for k in range(1, self.degree + 1):
+            binom = binom * (n - k + 1) // k  # exact: C(n, k-1) * (n-k+1) / k
+            if not binom:
+                break  # C(n, k) = 0 for 0 <= n < k
+            uk = uk * u
+            for m, c in uk.terms.items():
+                acc[m] = acc.get(m, 0) + binom * c
+        return TruncatedSeries(self.rank, self.degree, acc)
 
     def items_sorted(self):
         """(monomial, coefficient) pairs in length-lexicographic order."""

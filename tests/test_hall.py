@@ -17,7 +17,13 @@ from nilforge.hall import (
     multiply,
     power,
 )
-from nilforge.series import TruncatedSeries, magnus_embed, series_multiply, word_series
+from nilforge.series import (
+    TruncatedSeries,
+    magnus_embed,
+    series_multiply,
+    symbol_series,
+    word_series,
+)
 
 F23 = builtin_basis("F23")
 F32 = builtin_basis("F32")
@@ -236,6 +242,19 @@ def test_series_inverse_and_power():
     assert s * s.inverse() == TruncatedSeries.one(2, 3)
     assert s ** 3 == s * s * s
     assert s ** -2 == (s.inverse()) ** 2
+    for basis in (F23, F32):
+        one = TruncatedSeries.one(basis.rank, basis.nilpotency_class)
+        for i in range(basis.size):
+            s = symbol_series(basis, i)
+            inv = s.inverse()
+            assert s * inv == inv * s == one
+            for n in range(-7, 8):
+                expected = one
+                for _ in range(abs(n)):
+                    expected = expected * (s if n > 0 else inv)
+                assert s ** n == expected
+    with pytest.raises(ValueError):
+        TruncatedSeries(2, 3, {(): 2, (0,): 1}) ** 2
 
 
 def test_series_multiplicative_on_embedding():
