@@ -1,7 +1,7 @@
 """nilforge: exact arithmetic in small free nilpotent groups and their finite
 p-group quotients, with exhaustive isomorphism and orbit verification."""
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from .hall import (
     BasisError,

@@ -205,12 +205,6 @@ class NilpotentBasis:
     def size(self) -> int:
         return len(self.symbols)
 
-    def symbol_index(self, name: str) -> int:
-        for i, s in enumerate(self.symbols):
-            if s.name == name:
-                return i
-        raise BasisError(f"unknown symbol {name!r} in basis {self.name}")
-
     def weights(self) -> tuple[int, ...]:
         return tuple(s.weight for s in self.symbols)
 

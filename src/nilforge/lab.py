@@ -8,11 +8,13 @@ closures, lower central series, maximal subgroups, and the exhaustive
 homomorphism searches - runs vectorized over those arrays, and a subgroup
 is the sorted int64 array of its element indices.  The tables are
 one int32 slab of p rows per base-p digit of the canonical index (about
-20 MB at order 7^6); orders with p * n >= 2^31 are refused.  Each pc
-generator's translation row comes from `FiniteQuotient.reduce_arrays`,
-which runs the collection and the rewriting for all elements at once on
-int64 arrays, and is checked to be a permutation of canonical indices; the
-rows of its p-th power steps are compositions of that row.
+20 MB at order 7^6); orders with p * n >= 2^31 are refused.  The
+translation row of each ambient generator comes from
+`FiniteQuotient.reduce_arrays`, which runs the collection and the rewriting
+for all elements at once on int64 arrays, and is checked to be a
+permutation of canonical indices.  Every other row is composed from those:
+a higher symbol's from its defining bracket, and a p-th power step's from
+the row of its symbol.
 `consistency_check` certifies exactly that the tables are a group law
 (`quotients._group_certificate`) and cross-validates them against
 symbolic `FiniteQuotient.reduce`, an independent code path.
@@ -71,7 +73,9 @@ class DenseGroup:
     ``(p, n)`` int32 slab per digit t, whose row e sends index a to the
     index of ``a * g_t^e``; `mult` walks the digits with flat gathers.
     `_strides`, `_moduli` and `_exps` are per digit, in pc order and, within
-    a symbol, lowest digit first.
+    a symbol, lowest digit first.  Only the ambient generators' rows are
+    reduced; the row of a symbol ``[hi, lo]`` is composed from theirs as
+    ``a -> a * hi^-1 * lo^-1 * hi * lo``.
     """
 
     def __init__(self, quotient: FiniteQuotient):
@@ -87,13 +91,19 @@ class DenseGroup:
         # so the collector's temporaries never sit beside this group's slabs.
         letters = [(s, (idx // quotient._strides[s]) % quotient.moduli[s])
                    for s in self.pc_syms]
-        rows = [self._translation_row(s, idx, letters) for s in self.pc_syms]
+        rows = [self._translation_row(s, idx, letters).astype(np.int32)
+                for s in range(quotient.basis.rank)]
         del letters
+        for sym in quotient.basis.symbols[quotient.basis.rank:]:
+            # a * [hi, lo] = a * (lo * hi)^-1 * hi * lo; the inverse by scatter
+            hi, lo = (rows[k] for k in sym.bracket)
+            inv = np.empty_like(hi)
+            inv[hi[lo]] = idx
+            rows.append(lo[hi[inv]])
         self._strides: list[int] = []
         self.slabs: list[np.ndarray] = []
-        for s, row in zip(self.pc_syms, rows):
-            st, m = quotient._strides[s], quotient.moduli[s]
-            row = row.astype(np.int32)
+        for s in self.pc_syms:
+            st, m, row = quotient._strides[s], quotient.moduli[s], rows[s]
             while m > 1:  # one slab per digit; row becomes g^(p^j) each time
                 tab = np.empty((p, n), dtype=np.int32)
                 tab[0] = idx

@@ -117,7 +117,7 @@ def test_quotient_info_command(tmp_path, capsys):
     assert rc == 0
     info = json.loads(capsys.readouterr().out)
     assert info["order"] == "625"
-    assert info["moduli"] == [25, 5, 5, 1, 1]
+    assert info["moduli"] == [5, 5, 5, 5, 1]
     assert info["consistent"] is True
     assert info["symbols"] == ["x", "y", "[y,x]", "[y,x,x]", "[y,x,y]"]
 

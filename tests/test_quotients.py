@@ -11,7 +11,9 @@ from nilforge.quotients import (
     InfiniteIndexError,
     QuotientError,
     RelatorSet,
+    _echelon,
     _group_certificate,
+    _order_bound,
     consistency_check,
     make_quotient,
     membership,
@@ -76,13 +78,13 @@ def test_orders_dh(p, r):
 
 
 def test_moduli_shape_fixture():
-    # derived regression: x keeps modulus p^2, the weight-3 symbols are
-    # eliminated with tails x^(rp) and 1
+    # derived regression: every modulus of N_r is p but the last, with
+    # x^p = [y,x,x]^(r^-1), and [y,x,y] is rewritten to 1
     for r in range(1, 5):
         q = standard_quotient("N_r", 5, r)
-        assert q.moduli == (25, 5, 5, 1, 1)
-        assert q.tails[3] == (5 * r, 0, 0, 0, 0)
-        assert q.tails[4] == (0, 0, 0, 0, 0)
+        assert q.moduli == (5, 5, 5, 5, 1)
+        assert q.tails[0] == (0, 0, 0, pow(r, -1, 5), 0)
+        assert q.tails[1:] == ((0,) * 5,) * 4
     assert standard_quotient("K", 5).moduli == (25, 5, 5, 5, 1)
 
 
@@ -107,7 +109,8 @@ def test_dh_augmentation_conservative_at_r_one():
 
 def test_reduce_examples():
     q2 = standard_quotient("N_r", 5, 2)
-    assert reduce_element(q2, D).vector == (10, 0, 0, 0, 0)
+    assert reduce_element(q2, D).vector == (0, 0, 0, 1, 0)
+    assert reduce_element(q2, power(X, 10)).vector == (0, 0, 0, 1, 0)
     assert reduce_element(q2, E).is_identity()
     K = standard_quotient("K", 5)
     assert reduce_element(K, power(X, 25)).is_identity()
@@ -154,7 +157,8 @@ def test_reduce_multiplicative_random():
 def test_reduce_handles_huge_exponents():
     q = standard_quotient("N_r", 5, 2)
     big = 10 ** 18 + 7
-    assert q.reduce(power(X, big)).vector == (big % 25, 0, 0, 0, 0)
+    # x^5 = [y,x,x]^3 in N_2(5)
+    assert q.reduce(power(X, big)).vector == (big % 5, 0, 0, 3 * (big // 5) % 5, 0)
     elem = collect(F23, [(1, big), (0, 3)])
     assert q.reduce(elem) == q.reduce(power(Y, big % 5)) * q.reduce(power(X, 3))
 
@@ -198,7 +202,7 @@ def test_independence_of_moduli_from_r():
 def test_reduce_powers_of_symbols_match_tables(kind, p, r):
     # every exponent around the rewrite boundaries -1, 0, m-1 and m of each
     # symbol, with m its modulus or p when it is eliminated: in N_r(5, 1)
-    # [y,x,x] is substituted by x^5, and DH_M_r swaps [y,x] past z
+    # x^5 is rewritten to [y,x,x], and DH_M_r swaps [y,x] past z
     q = standard_quotient(kind, p, r)
     dense = q.dense
     for s in range(q.basis.size):
@@ -212,12 +216,90 @@ def test_reduce_powers_of_symbols_match_tables(kind, p, r):
 def test_decode_rejects_out_of_range_indices():
     q = standard_quotient("N_r", 5, 1)
     assert q.order == 625
-    assert q.decode(624) == (24, 4, 4, 0, 0)
+    assert q.decode(624) == (4, 4, 4, 4, 0)
     for idx in (625, -1):
         with pytest.raises(QuotientError):
             q.decode(idx)
         with pytest.raises(QuotientError):
             q.dense.element(idx)
+
+
+# -- echelon -----------------------------------------------------------------------
+
+def _standard_relsets(p):
+    """Every standard relator set at p, after log_p of its index."""
+    yield 5, standard_relators("K", p)
+    yield 1, standard_relators("M", p)
+    for r in range(1, p):
+        yield 4, standard_relators("N_r", p, r)
+        yield 6, standard_relators("DH_M_r", p, r)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_orders_of_every_standard_family(p):
+    for k, relset in _standard_relsets(p):
+        assert make_quotient(relset).order == p ** k, relset.label
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_tails_live_on_later_symbols(p):
+    for _k, relset in _standard_relsets(p):
+        q = make_quotient(relset)
+        for s, tail in enumerate(q.tails):
+            assert not any(tail[:s + 1]), (relset.label, s, tail)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_every_pivot_reduces_to_the_identity(p):
+    for _k, relset in _standard_relsets(p):
+        q = make_quotient(relset)
+        pivots = _echelon(relset)
+        assert sorted(pivots) == list(range(relset.basis.size))
+        for s, piv in pivots.items():
+            assert piv.exponents[:s] == (0,) * s and piv.exponents[s] > 0
+            assert q.reduce(piv).is_identity(), (relset.label, s)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_order_bound_passes_on_every_standard_quotient(p):
+    for _k, relset in _standard_relsets(p):
+        q = make_quotient(relset)
+        assert _order_bound(q) == (
+            True, f"|F/N| <= {q.order}, every rule lies in N"), relset.label
+
+
+def _order_bound_record(payload):
+    rep = consistency_check(FiniteQuotient.from_payload(payload))
+    assert not rep.passed
+    return {name: (ok, detail) for name, ok, detail in rep.checks}["order-bound"]
+
+
+@pytest.mark.parametrize("s,t,name", [(0, 2, "x"), (2, 3, "[y,x]")])
+def test_order_bound_rejects_a_corrupted_tail(s, t, name):
+    # N_r(7, 3) with one more [y,x] in the tail of x, or one more [y,x,x]
+    # in the tail of [y,x]: that rule no longer lies in N
+    payload = standard_quotient("N_r", 7, 3).to_payload()
+    payload["tails"][s][t] += 1
+    assert _order_bound_record(payload) == (
+        False, f"the rule of {name} does not lie in N")
+
+
+def test_order_bound_rejects_moduli_off_by_p():
+    # K(5) claiming modulus 5 for [y,x,y]: the table has order 5^6
+    payload = standard_quotient("K", 5).to_payload()
+    payload["moduli"][4] = 5
+    payload["order"] = str(5 ** 6)
+    assert _order_bound_record(payload) == (
+        False, f"the pivot moduli multiply to {5 ** 5}, not {5 ** 6}")
+
+
+def test_order_bound_rejects_infinite_index():
+    # the C_5 table claimed for <x^5>, whose normal closure has infinite
+    # index: y never gets a pivot
+    c5 = make_quotient(RelatorSet(F23, (power(X, 5), Y), "C_5"))
+    q = FiniteQuotient(F23, RelatorSet(F23, (power(X, 5),), "halfbaked"),
+                       c5.moduli, c5.tails)
+    assert _order_bound(q) == (False, "no pivot for y")
 
 
 # -- consistency ---------------------------------------------------------------------
@@ -227,6 +309,7 @@ def test_consistency_check_passes():
     assert rep.passed, rep.failures()
     names = [name for name, _ok, _d in rep.checks]
     assert "group-certificate" in names
+    assert "order-bound" in names
 
 
 def test_consistency_check_sampled_mode():
@@ -264,9 +347,10 @@ def test_dense_bridge_runs_on_the_symbolic_oracle(monkeypatch):
 
 def test_consistency_detects_corruption():
     good = standard_quotient("N_r", 5, 2)
-    # wrong but terminating substitution tail: relators no longer vanish
+    # wrong but terminating tail, x^5 = [y,x,x]^2 for [y,x,x]^3: relators
+    # no longer vanish
     bad_tails = list(good.tails)
-    bad_tails[3] = (15, 0, 0, 0, 0)
+    bad_tails[0] = (0, 0, 0, 2, 0)
     bad = FiniteQuotient(good.basis, good.relator_set, good.moduli,
                          tuple(bad_tails))
     rep = consistency_check(bad)
@@ -276,8 +360,8 @@ def test_consistency_detects_corruption():
 
 def test_consistency_reports_divergent_corruption():
     good = standard_quotient("N_r", 5, 2)
-    # a tail whose powers regenerate the eliminated symbol forever: the
-    # rewriting failure must surface as a diagnostic, not an exception
+    # a tail on earlier symbols whose powers regenerate [y,x,x] forever:
+    # the rewriting failure must surface as a diagnostic, not an exception
     bad_tails = list(good.tails)
     bad_tails[3] = (7, 0, 1, 0, 0)
     bad = FiniteQuotient(good.basis, good.relator_set, good.moduli,
@@ -323,7 +407,7 @@ def test_group_certificate_passes(relset):
         True, "regular right action, image of F/N")
 
 
-@pytest.mark.parametrize("kind,p,r", [("N_r", 5, 2), ("K", 7, None)])
+@pytest.mark.parametrize("kind,p,r", [("K", 5, None), ("K", 7, None)])
 def test_group_certificate_rejects_swapped_row(kind, p, r):
     # swap two entries of row 1 of a digit slab - the first pc symbol x, then
     # its step x^p - off the points that mult(0, .) reaches through that
@@ -373,11 +457,15 @@ def test_group_certificate_rejects_relator_outside_kernel():
 
 
 def test_group_certificate_rejects_non_generating_images():
-    # C5xC5 tables on the pc symbols x and [y,x]: a group law in which y
-    # maps to 1, so the generator images span only <x>
+    # C5xC5 slabs on the pc symbols x and [y,x], set by hand: a group law
+    # in which y maps to 1, so the generator images span only <x>
     good = make_quotient(RelatorSet(F23, (power(X, 5), power(Y, 5), C), "C5xC5"))
     q = FiniteQuotient(F23, good.relator_set, (5, 1, 5, 1, 1), ((0,) * 5,) * 5)
-    assert _group_certificate(q, q.dense) == (
+    dense = DenseGroup(q)
+    a, c = divmod(np.arange(25, dtype=np.int64), 5)
+    dense.slabs = [np.array([(a + e) % 5 * 5 + c for e in range(5)]),
+                   np.array([a * 5 + (c + e) % 5 for e in range(5)])]
+    assert _group_certificate(q, dense) == (
         False, "generator images do not generate")
 
 
