@@ -73,7 +73,7 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
         ok = True
         counts = {}
         for label, q in [("K", K)] + [(f"N_{r}", q) for r, q in quots.items()]:
-            rep = consistency_check(q, seed=config.seed)
+            rep = consistency_check(q)
             counts[label] = "ok" if rep.passed else ";".join(rep.failures())
             ok &= rep.passed
         return ok, counts

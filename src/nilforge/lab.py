@@ -16,8 +16,9 @@ permutation of canonical indices.  Every other row is composed from those:
 a higher symbol's from its defining bracket, and a p-th power step's from
 the row of its symbol.
 `consistency_check` certifies exactly that the tables are a group law
-(`quotients._group_certificate`) and cross-validates them against
-symbolic `FiniteQuotient.reduce`, an independent code path.
+(`quotients._group_certificate`) whose index i is the normal form
+`decode(i)` (`quotients._normal_forms`), so they agree with symbolic
+`FiniteQuotient.reduce`, an independent code path, on every product.
 
 Every generator-image scan - the isomorphisms between quotients and their
 Frattini determinants here, the monomial lifts in `dh` - runs through one

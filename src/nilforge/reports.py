@@ -54,6 +54,8 @@ class CampaignConfig:
             raise UsageError(f"unknown format {self.fmt!r}")
         if self.psi_samples < 1 or self.power_samples < 1:
             raise UsageError("sample budgets must be positive")
+        if self.budget_pairs is not None and self.budget_pairs < 0:
+            raise UsageError("the pair budget must not be negative")
         if self.rs is not None:
             for p in self.primes:
                 for r in self.rs:

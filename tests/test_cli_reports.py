@@ -61,6 +61,9 @@ def test_config_validation():
         CampaignConfig(primes=(2,)).validate("example")
     with pytest.raises(UsageError):
         CampaignConfig(primes=(5,), rs=(5,)).validate("theorem")
+    with pytest.raises(UsageError):
+        CampaignConfig(primes=(5,), budget_pairs=-1).validate("theorem")
+    CampaignConfig(primes=(5,), budget_pairs=0).validate("theorem")
     CampaignConfig(primes=(3,)).validate("example")
 
 
@@ -76,6 +79,12 @@ def test_budget_limits_scans(tmp_path):
 
 def test_exit_code_usage_error():
     assert main(["verify-theorem", "--prime", "4"]) == 2
+
+
+def test_exit_code_negative_pair_budget(capsys):
+    # a negative budget would leave every inequivalence scan undone
+    assert main(["verify-theorem", "--prime", "5", "--budget-pairs", "-1"]) == 2
+    assert "pair budget" in capsys.readouterr().err
 
 
 def test_exit_code_parse_error():
@@ -198,6 +207,21 @@ def test_cache_checksum_tamper_detected(tmp_path):
     path = cache_store(q, 5, tmp_path)
     doc = json.loads(path.read_text())
     doc["payload"]["moduli"][0] = 125
+    path.write_text(json.dumps(doc))
+    loaded, status = cache_load("F23", 5, q.label, tmp_path)
+    assert loaded is None and status == "corrupt"
+
+
+@pytest.mark.parametrize("modulus", [0, -5])
+def test_cache_entry_with_modulus_below_one_is_corrupt(tmp_path, modulus):
+    import nilforge.cache as cache_mod
+
+    q = standard_quotient("N_r", 5, 1)
+    path = cache_store(q, 5, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["payload"]["moduli"][0] = modulus
+    doc["payload"]["order"] = str(q.order // q.moduli[0] * modulus)
+    doc["checksum"] = cache_mod._checksum(doc["payload"])
     path.write_text(json.dumps(doc))
     loaded, status = cache_load("F23", 5, q.label, tmp_path)
     assert loaded is None and status == "corrupt"

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations, product
 
@@ -312,37 +313,72 @@ def test_consistency_check_passes():
     assert "order-bound" in names
 
 
-def test_consistency_check_sampled_mode():
-    # K at p = 7 has order 16807, above the 10^4 retraction threshold
+def test_consistency_check_is_exact_above_order_10_000():
+    # K at p = 7 has order 16807: the same three exact records as below 10^4
     q = standard_quotient("K", 7)
     assert q.order == 16807
     rep = consistency_check(q)
     assert rep.passed, rep.failures()
-    details = {name: detail for name, _ok, detail in rep.checks}
-    assert details["reduce-retraction"].startswith("sampled")
+    assert [name for name, _ok, _d in rep.checks] == [
+        "order-bound", "group-certificate", "normal-forms"]
+    assert dict((name, d) for name, _ok, d in rep.checks)["normal-forms"] == (
+        "all 16807 normal forms evaluate to their index")
 
 
-def test_dense_bridge_runs_on_the_symbolic_oracle(monkeypatch):
-    # once the tables exist, the sampled pairs are multiplied by the scalar
-    # oracle alone: dense-bridge never compares the array engine with itself
+@pytest.mark.parametrize("p", [5, 7])
+def test_dense_tables_agree_with_the_symbolic_oracle(p):
+    # the array engine against the scalar one on every standard quotient:
+    # all pairs when there are at most 10^4, a seeded sample otherwise
+    rng = random.Random(p)
+    for _k, relset in _standard_relsets(p):
+        q = make_quotient(relset)
+        n = q.order
+        if n * n <= 10_000:
+            ii, jj = (a.ravel() for a in np.indices((n, n)))
+        else:
+            ii, jj = (np.array([rng.randrange(n) for _ in range(1000)])
+                      for _ in range(2))
+        dense = q.dense
+        direct = [(dense.element(i) * dense.element(j)).index()
+                  for i, j in zip(ii, jj)]
+        assert np.array_equal(dense.mult(ii, jj), direct), relset.label
+
+
+def test_consistency_check_never_reduces_arrays_once_tables_exist(monkeypatch):
+    # the records read the tables and the scalar oracle only: the array
+    # engine that built the tables is not asked to vouch for them
     q = make_quotient(standard_relators("N_r", 5, 1))
     q.dense
 
     def refuse(self, letters):
         raise AssertionError("array reduction after the tables were built")
 
-    products = []
-    pc_multiply = FiniteQuotient.pc_multiply
-
-    def counted(self, a, b):
-        products.append((a, b))
-        return pc_multiply(self, a, b)
-
     monkeypatch.setattr(FiniteQuotient, "reduce_arrays", refuse)
-    monkeypatch.setattr(FiniteQuotient, "pc_multiply", counted)
     rep = consistency_check(q)
     assert rep.passed, rep.failures()
-    assert len(products) == min(10_000, q.order * q.order)
+
+
+def test_normal_forms_rejects_a_relabelled_table():
+    # N_r(5, 2) relabelled by tau, the map that halves the [y,x] digit: the
+    # [y,x] slab translates by [y,x]^2 and every slab is conjugated by tau.
+    # That is a group law isomorphic to F/N in which x and y keep their
+    # indices, so order-bound and group-certificate pass; but index i is no
+    # longer the normal form decode(i) once its [y,x] digit is nonzero
+    q = make_quotient(standard_relators("N_r", 5, 2))
+    dense = q.dense
+    digit = q.pc_symbols.index(2)
+    st = dense._strides[digit]
+    idx = np.arange(q.order, dtype=np.int64)
+    d = dense._exps[digit].astype(np.int64)
+    tau = idx + ((3 * d) % 5 - d) * st  # 3 = 1/2 mod 5
+    tau_inv = idx + ((2 * d) % 5 - d) * st
+    for k, tab in enumerate(dense.slabs):
+        rows = tab[2 * np.arange(5) % 5] if k == digit else tab
+        dense.slabs[k] = tau[rows[:, tau_inv]].astype(np.int32)
+    checks = {name: (ok, detail) for name, ok, detail in consistency_check(q).checks}
+    assert checks["order-bound"][0] and checks["group-certificate"][0]
+    assert checks["normal-forms"] == (
+        False, "500 of 625 normal forms evaluate elsewhere, first decode(5) at 15")
 
 
 def test_consistency_detects_corruption():
@@ -434,7 +470,7 @@ def test_group_certificate_rejects_swapped_row(kind, p, r):
                   for name, ok, detail in consistency_check(q).checks}
         assert checks["group-certificate"] == (
             False, "left and right translations do not commute")
-        assert "dense-bridge" not in checks
+        assert "normal-forms" not in checks
 
 
 def test_consistency_reports_out_of_range_slab_entry():
@@ -444,7 +480,7 @@ def test_consistency_reports_out_of_range_slab_entry():
     assert not rep.passed
     checks = {name: (ok, detail) for name, ok, detail in rep.checks}
     assert checks["group-certificate"] == (False, "slab rows")
-    assert "dense-bridge" not in checks
+    assert "normal-forms" not in checks
 
 
 def test_group_certificate_rejects_relator_outside_kernel():
@@ -490,6 +526,16 @@ def test_group_certificate_exact_on_order_4():
 
 
 # -- serialization --------------------------------------------------------------------
+
+@pytest.mark.parametrize("modulus", [0, -5])
+def test_payload_rejects_modulus_below_one(modulus):
+    # order 0 would send `prime` into an endless search for a factor
+    payload = standard_quotient("N_r", 5, 2).to_payload()
+    payload["moduli"][1] = modulus
+    payload["order"] = str(math.prod(payload["moduli"]))
+    with pytest.raises(QuotientError, match="at least 1"):
+        FiniteQuotient.from_payload(payload)
+
 
 def test_payload_round_trip():
     q = standard_quotient("N_r", 5, 3)

@@ -46,7 +46,8 @@ def test_no_module_level_mutable_state_in_sources():
 
 # The scalar symbolic oracle, per module, and the names of the array engine
 # that builds the dense tables.  The oracle checks those tables
-# (`dense-bridge`), so it must not reach the engine it checks.
+# (`test_dense_tables_agree_with_the_symbolic_oracle`), so it must not reach
+# the engine it checks.
 SCALAR_PATH = {
     "hall.py": {"_collect_letters", "_collect_onto"},
     "quotients.py": {"_emit", "_rewrite_fixpoint", "_tail_power_letters",
@@ -81,3 +82,21 @@ def test_scalar_oracle_is_independent_of_the_array_engine():
             found += [f"{path.name}:{name} uses {ref}" for ref in sorted(used & ARRAY_ENGINE)]
     assert seen == {(mod, name) for mod, names in SCALAR_PATH.items() for name in names}
     assert not found, found
+
+
+def test_consistency_proof_samples_nothing():
+    # `consistency_check` is a proof at every order: quotients.py draws no
+    # random numbers, and the check takes the quotient and no seed or knob
+    path = next(path for path in SOURCES if path.name == "quotients.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {(node.module or "").split(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "random" not in imported
+    (check,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "consistency_check"]
+    args = check.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    assert [a.arg for a in params] == ["q"] and not (args.vararg or args.kwarg)
