@@ -21,8 +21,7 @@ basis is built (see `nilforge.series`).
 collected prefix is an exponent vector, and the next letter ``b^n`` moves
 left past the non-central tail ``a_1^m_1 ... a_k^m_k`` above it in one step,
 by the closed form applied to each ``a_i^m_i``; the conjugated tail goes on a
-stack of pending letters.  `_collect_arrays` runs the same swap rule on int64
-exponent arrays, one word per entry, by adjacent swaps in a letter list.
+stack of pending letters.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "BasisError",
@@ -299,92 +296,6 @@ def _collect_onto(basis: NilpotentBasis, start: tuple[int, ...],
         exps[s] += e
         hi = s
     return tuple(exps)
-
-
-_EXP_BOUND = 1 << 20
-
-
-def _bounded(e: np.ndarray) -> np.ndarray:
-    # An exponent entering a product or a sum stays below 2^20, so the
-    # largest term formed from it, C(n,2)*m < 2^59, cannot wrap in int64.
-    if e.max() >= _EXP_BOUND or e.min() <= -_EXP_BOUND:
-        raise OverflowError("exponent reached 2^20 in array collection")
-    return e
-
-
-def _collect_arrays(basis: NilpotentBasis, letters, size: int) -> list[np.ndarray]:
-    """`_collect_letters` on int64 exponent arrays of length ``size``.
-
-    The swap rule is the same, the strategy is not: this walks a letter list
-    and swaps adjacent out-of-order letters, where `_collect_onto` collects
-    from the left onto a vector, so the dense tables built from this and the
-    scalar oracle that checks them share no collection loop.
-
-    Letters are ``(symbol, array)`` pairs; entry i of the result is the
-    normal form of the word made of entry i of every letter.  A letter is
-    dropped only when its whole array is zero, so one swap sequence serves
-    every entry: a zero entry just passes through the swap rule unchanged,
-    and the normal form is unique.  Rule coefficients are 1 (every bracket
-    is a single basis symbol).  Raises OverflowError before an int64 could
-    wrap.
-    """
-    rules = basis._swap
-    w: list[list] = []
-    for s, e in letters:
-        if not e.any():
-            continue
-        if w and w[-1][0] == s:
-            w[-1][1] = _bounded(w[-1][1]) + _bounded(e)
-            if not w[-1][1].any():
-                w.pop()
-        else:
-            w.append([s, e])
-
-    i = 0
-    steps = 0
-    while i + 1 < len(w):
-        steps += 1
-        if steps > _COLLECT_GUARD:  # pragma: no cover - safety net
-            raise RuntimeError("collection failed to terminate")
-        a, m = w[i]
-        b, n = w[i + 1]
-        if a == b:
-            m = _bounded(m) + _bounded(n)
-            del w[i + 1]
-            if not m.any():
-                del w[i]
-            else:
-                w[i][1] = m
-            if i:
-                i -= 1
-            continue
-        if a > b:
-            seg = [[b, n], [a, m]]
-            rule = rules.get((a, b))
-            if rule is not None:
-                t, u, v = rule
-                _bounded(m)
-                _bounded(n)
-                for part, coef in ((t, n * m), (u, _comb2(n) * m), (v, _comb2(m) * n)):
-                    if coef.any():
-                        for sym, k in part:
-                            e2 = k * coef
-                            if seg[-1][0] == sym:
-                                seg[-1][1] = _bounded(seg[-1][1]) + _bounded(e2)
-                                if not seg[-1][1].any():
-                                    seg.pop()
-                            else:
-                                seg.append([sym, e2])
-            w[i:i + 2] = seg
-            if i:
-                i -= 1
-            continue
-        i += 1
-
-    exps = [np.zeros(size, dtype=np.int64) for _ in range(basis.size)]
-    for s, e in w:
-        exps[s] += e
-    return exps
 
 
 class FreeNilElement:

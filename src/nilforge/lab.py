@@ -9,11 +9,9 @@ homomorphism searches - runs vectorized over those arrays, and a subgroup
 is the sorted int64 array of its element indices.  The tables are
 one int32 slab of p rows per base-p digit of the canonical index (about
 20 MB at order 7^6); orders with p * n >= 2^31 are refused.  The
-translation row of each ambient generator comes from
-`FiniteQuotient.reduce_arrays`, which runs the collection and the rewriting
-for all elements at once on int64 arrays, and is checked to be a
-permutation of canonical indices.  Every other row is composed from those:
-a higher symbol's from its defining bracket, and a p-th power step's from
+translation rows of the pc symbols are built by induction down the pc
+series (`_pc_rows`), from one scalar `FiniteQuotient.reduce` per
+conjugation and power relation; a p-th power step's row is composed from
 the row of its symbol.
 `consistency_check` certifies exactly that the tables are a group law
 (`quotients._group_certificate`) whose index i is the normal form
@@ -63,6 +61,67 @@ _SCAN_BOUND = 130_000  # admits the order-7^6 quotient
 _SEARCH_BOUND = 10_000
 
 
+def _row_powers(row: np.ndarray, m: int) -> np.ndarray:
+    """The (m, len(row)) int32 table whose row e is ``row`` applied e times."""
+    tab = np.empty((m, row.size), dtype=np.int32)
+    tab[0] = np.arange(row.size)
+    for e in range(1, m):
+        tab[e] = row[tab[e - 1]]
+    return tab
+
+
+def _times(q: FiniteQuotient, pows: dict, a, b):
+    """a * b in a subgroup G_k, one gather per pc symbol j of G_k, whose
+    row powers are ``pows[j]``."""
+    for j, tab in pows.items():
+        a = tab[b // q._strides[j] % q.moduli[j], a]
+    return a
+
+
+def _pc_rows(q: FiniteQuotient) -> dict[int, np.ndarray]:
+    """For every pc symbol s, the int32 row sending index a to the index of
+    ``a * g_s``, by induction up from the last pc symbol.
+
+    G_k = <g_k, g_k+1, ...> is the index prefix [0, n_k), the extension of
+    G_k+1 by <g_t> for t the k-th pc symbol (Holt, Eick & O'Brien, Handbook
+    of Computational Group Theory, ch. 8): with n' = n_k+1, index e * n' + h
+    is ``g_t^e * h``.  With phi(h) = g_t^-1 * h * g_t and m the modulus of
+    t, ``(g_t^e * h) * g_t`` is ``g_t^(e+1) * phi(h)``, where g_t^m is one
+    element w of G_k+1, and ``(g_t^e * h) * g_j = g_t^e * (h * g_j)`` for
+    every later j.  The relations g_t^-1 * g_j * g_t and g_t^m are one
+    scalar `reduce` each.  Raises QuotientError naming t when a relation
+    has a coordinate on t or an earlier symbol, or phi is not a permutation.
+    """
+    rows: dict[int, np.ndarray] = {}
+    n1 = 1
+    for k, t in reversed(list(enumerate(q.pc_symbols))):
+        m, name, later = q.moduli[t], q.basis.symbols[t].name, q.pc_symbols[k + 1:]
+        rels = [q.reduce_letters(word).vector for word in
+                [[(t, -1), (j, 1), (t, 1)] for j in later] + [[(t, m)]]]
+        if any(any(vec[:t + 1]) for vec in rels):
+            raise QuotientError(f"{q.label}: a relation of {name} has a "
+                                f"coordinate on {name} or an earlier symbol")
+        *conj, w = (q.encode(vec) for vec in rels)
+        idx = np.arange(n1, dtype=np.int32)
+        pows = {j: _row_powers(rows[j], q.moduli[j]) for j in later}
+        phi = np.zeros(n1, dtype=np.int32)
+        for j, c in zip(later, conj):
+            cpow = [0]  # c^e for e < m_j
+            for _ in range(1, q.moduli[j]):
+                cpow.append(_times(q, pows, cpow[-1], c))
+            digits = idx // q._strides[j] % q.moduli[j]
+            phi = _times(q, pows, phi, np.array(cpow, dtype=np.int32)[digits])
+        if not np.array_equal(np.sort(phi), idx):
+            raise QuotientError(
+                f"{q.label}: conjugation by {name} is not a permutation")
+        last = _times(q, pows, np.full(n1, w, dtype=np.int32), phi)
+        shift = np.arange(m, dtype=np.int32)[:, None] * np.int32(n1)
+        rows = {j: (shift + row).ravel() for j, row in rows.items()}
+        rows[t] = np.concatenate([(shift[1:] + phi).ravel(), last])
+        n1 *= m
+    return rows
+
+
 class DenseGroup:
     """Index-level view of a finite quotient.
 
@@ -74,9 +133,8 @@ class DenseGroup:
     ``(p, n)`` int32 slab per digit t, whose row e sends index a to the
     index of ``a * g_t^e``; `mult` walks the digits with flat gathers.
     `_strides`, `_moduli` and `_exps` are per digit, in pc order and, within
-    a symbol, lowest digit first.  Only the ambient generators' rows are
-    reduced; the row of a symbol ``[hi, lo]`` is composed from theirs as
-    ``a -> a * hi^-1 * lo^-1 * hi * lo``.
+    a symbol, lowest digit first.  The row of each pc symbol comes from
+    `_pc_rows`.
     """
 
     def __init__(self, quotient: FiniteQuotient):
@@ -88,29 +146,14 @@ class DenseGroup:
                 f"{quotient.label}: order {n} overflows int32 tables")
         self.pc_syms = quotient.pc_symbols
         idx = np.arange(n, dtype=np.int64)
-        # Every row is computed, and checked, before any slab is allocated,
-        # so the collector's temporaries never sit beside this group's slabs.
-        letters = [(s, (idx // quotient._strides[s]) % quotient.moduli[s])
-                   for s in self.pc_syms]
-        rows = [self._translation_row(s, idx, letters).astype(np.int32)
-                for s in range(quotient.basis.rank)]
-        del letters
-        for sym in quotient.basis.symbols[quotient.basis.rank:]:
-            # a * [hi, lo] = a * (lo * hi)^-1 * hi * lo; the inverse by scatter
-            hi, lo = (rows[k] for k in sym.bracket)
-            inv = np.empty_like(hi)
-            inv[hi[lo]] = idx
-            rows.append(lo[hi[inv]])
+        # the builder's temporaries die with it, before any slab is allocated
+        rows = _pc_rows(quotient)
         self._strides: list[int] = []
         self.slabs: list[np.ndarray] = []
         for s in self.pc_syms:
-            st, m, row = quotient._strides[s], quotient.moduli[s], rows[s]
+            st, m, row = quotient._strides[s], quotient.moduli[s], rows.pop(s)
             while m > 1:  # one slab per digit; row becomes g^(p^j) each time
-                tab = np.empty((p, n), dtype=np.int32)
-                tab[0] = idx
-                tab[1] = row
-                for e in range(2, p):
-                    tab[e] = row[tab[e - 1]]
+                tab = _row_powers(row, p)
                 self.slabs.append(tab)
                 self._strides.append(st)
                 row = row[tab[-1]]
@@ -120,25 +163,6 @@ class DenseGroup:
         self._exps = [((idx // st) % p).astype(np.int32) for st in self._strides]
         # digit * n: where that digit's row starts in its flattened slab
         self._offsets = [e * n for e in self._exps]
-
-    def _translation_row(self, s: int, idx: np.ndarray, letters) -> np.ndarray:
-        """Index of g * s for every element index g, by array reduction;
-        ``letters`` spells every g as its pc symbols and exponents."""
-        q = self.quotient
-        exps = q.reduce_arrays(letters + [(s, np.ones(self.n, dtype=np.int64))])
-        row = np.zeros(self.n, dtype=np.int64)
-        for t, e in enumerate(exps):
-            m = q.moduli[t]
-            if ((e < 0) | (e >= m)).any():
-                raise QuotientError(
-                    f"{q.label}: translation by {q.basis.symbols[s].name} "
-                    f"leaves exponents of {q.basis.symbols[t].name} outside [0, {m})")
-            if m > 1:
-                row += e * q._strides[t]
-        if not np.array_equal(np.sort(row), idx):
-            raise QuotientError(f"{q.label}: translation by "
-                                f"{q.basis.symbols[s].name} is not a permutation")
-        return row
 
     # -- arithmetic ------------------------------------------------------------
 

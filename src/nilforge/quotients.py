@@ -18,9 +18,6 @@ of the normal closure, so cosets are preserved by construction.
 the law of a group of order n that is an image of F/N.  Last, it proves that
 index i of the tables is the normal form `decode(i)`, so the tables agree
 with `reduce` on every product.  Nothing is sampled.
-`FiniteQuotient.reduce_arrays` is the same rewriting for many words at once,
-on int64 exponent arrays: powers of tails are evaluated as Newton series in
-the exponent, and an exponent reaching 2^20 raises instead of wrapping.
 A rule table read from a payload may be divergent; the rewriting caps and
 guards turn that into a `QuotientError`.
 """
@@ -39,8 +36,6 @@ from .hall import (
     BasisError,
     FreeNilElement,
     NilpotentBasis,
-    _bounded,
-    _collect_arrays,
     _collect_letters,
     _collect_onto,
     builtin_basis,
@@ -332,94 +327,6 @@ def _tail_power_letters(tail, q, s, m, cache):
     return got
 
 
-# -- array form of the rewriting, used to build dense tables -------------------
-
-def _newton_series(basis, tail: FreeNilElement):
-    """The exponents of ``tail^k`` as Newton series in k.
-
-    In class c every exponent of ``tail^k`` is a polynomial in k of degree
-    at most c, so it equals ``sum_j C(k, j) * d_j`` with d_j the j-th
-    forward difference of ``power(tail, k)`` at k = 0..c.  Returns the pairs
-    (symbol, (d_0, ..., d_c)) with a nonzero series, after checking the
-    evaluation against `power` at k = -2, -1 and c + 1.
-    """
-    c = basis.nilpotency_class
-    values = [power(tail, k).exponents for k in range(c + 1)]
-    series = []
-    for t in range(basis.size):
-        col = [v[t] for v in values]
-        diffs = []
-        for _ in range(c + 1):
-            diffs.append(col[0])
-            col = [b - a for a, b in zip(col, col[1:])]
-        if any(diffs):
-            series.append((t, tuple(diffs)))
-    probe = np.array([-2, -1, c + 1], dtype=np.int64)
-    got = dict(_newton_letters(series, probe))
-    for i, k in enumerate(probe.tolist()):
-        want = power(tail, k).exponents
-        if any((int(got[t][i]) if t in got else 0) != w
-               for t, w in enumerate(want)):
-            raise QuotientError(f"powers of the tail {tail!r} are not "
-                                "polynomial in the exponent")
-    return tuple(series)
-
-
-def _newton_letters(series, k: np.ndarray):
-    """Letters ``(symbol, exponents)`` of ``tail^k`` for an exponent array."""
-    binoms = [np.ones_like(k)]
-    if series:
-        _bounded(k)
-        for j in range(1, len(series[0][1])):
-            # C(k, j) = C(k, j-1) * (k - j + 1) / j, exact; below 2^60
-            binoms.append(binoms[-1] * (k - (j - 1)) // j)
-    for t, diffs in series:
-        acc = np.zeros_like(k)
-        for b, d in zip(binoms, diffs):
-            if d:
-                if int(np.abs(b).max()) * abs(d) >= 1 << 60:
-                    raise OverflowError("tail power exponent reached 2^60")
-                acc = acc + b * d
-        yield t, acc
-
-
-def _emit_arrays(q, s, e, out, depth) -> bool:
-    """`_emit` for the letter ``s^e`` with an exponent array: appends the
-    reduction of every entry and returns whether any entry was rewritten."""
-    if not e.any():
-        return False
-    if depth > 40:
-        raise QuotientError("substitution chains did not stabilize")
-    m = q.moduli[s]
-    if m == 1:
-        k = e
-    elif e.min() >= 0 and e.max() < m:  # the usual case, without a division
-        out.append((s, e))
-        return False
-    else:
-        k, rem = np.divmod(e, m)
-        if rem.any():
-            out.append((s, rem))
-    for t, kt in _newton_letters(q._newton[s], k):
-        _emit_arrays(q, t, kt, out, depth + 1)
-    return True
-
-
-def _rewrite_arrays(q, exps, size):
-    # Entries already at their fixpoint pass through further rounds
-    # unchanged, so the rounds run until no entry changes.
-    for _ in range(_REWRITE_CAP):
-        letters: list = []
-        changed = False
-        for s, e in enumerate(exps):
-            if _emit_arrays(q, s, e, letters, 0):
-                changed = True
-        if not changed:
-            return exps
-        exps = _collect_arrays(q.basis, letters, size)
-    raise QuotientError("rewriting did not reach a fixpoint")
-
-
 def make_quotient(relset: RelatorSet) -> "FiniteQuotient":
     """The rule table of F/N read off the reduced echelon of N: symbol s
     gets the modulus m_s of its pivot and, as tail, the inverse of the rest
@@ -530,10 +437,6 @@ class FiniteQuotient:
         self.identity = PcElement(self, (0,) * basis.size)
 
     @cached_property
-    def _newton(self):
-        return tuple(_newton_series(self.basis, tail) for _m, tail in self._rules)
-
-    @cached_property
     def dense(self):
         """The `lab.DenseGroup` tables of this quotient, built on first use."""
         from .lab import DenseGroup
@@ -568,29 +471,6 @@ class FiniteQuotient:
     def reduce_letters(self, letters) -> PcElement:
         elem = FreeNilElement(self.basis, _collect_letters(self.basis, letters))
         return self.reduce(elem)
-
-    def reduce_arrays(self, letters) -> list[np.ndarray]:
-        """`reduce_letters` for many words at once.
-
-        ``letters`` are ``(symbol, exponents)`` pairs whose exponents are
-        int64 arrays of one length; entry i of the returned per-symbol
-        arrays is the canonical vector of the word made of entry i of every
-        letter.  Raises QuotientError when rewriting runs away or an
-        exponent reaches 2^20 on its way into a product or a sum.
-        """
-        letters = [(int(s), np.asarray(e, dtype=np.int64)) for s, e in letters]
-        if not letters or any(e.ndim != 1 or e.shape != letters[0][1].shape
-                              for _s, e in letters):
-            raise QuotientError("letters need 1-D exponent arrays of one length")
-        size = letters[0][1].size
-        for s, _e in letters:
-            if not 0 <= s < self.basis.size:
-                raise BasisError(f"letter index {s} invalid for basis {self.basis.name}")
-        try:
-            exps = _collect_arrays(self.basis, letters, size)
-            return _rewrite_arrays(self, exps, size)
-        except OverflowError as ex:
-            raise QuotientError(f"array reduction in {self.label}: {ex}") from ex
 
     def membership(self, elem: FreeNilElement) -> bool:
         return self.reduce(elem).is_identity()
@@ -794,11 +674,11 @@ def _group_certificate(q: FiniteQuotient, dense) -> tuple[bool, str]:
     (Dixon & Mortimer, Thm 4.2A), pi_b is the one element of P taking 0 to
     b, and `mult` is the law of P: associative, with identity 0.
     5. image of F/N: the generator images generate, the class is at most
-    that of the basis, and every relator evaluates to 0.
+    that of the basis, and every relator evaluates to 0.  The class is at
+    most c exactly when every left-normed commutator of weight c + 1 in the
+    generators and their inverses is 0, since those generate gamma_(c+1).
     Returns (ok, detail); the detail names the first step that fails.
     """
-    from .lab import _relator_masks
-
     n = dense.n
     idx = np.arange(n, dtype=np.int64)
     for m, tab in zip(dense._moduli, dense.slabs):
@@ -822,11 +702,44 @@ def _group_certificate(q: FiniteQuotient, dense) -> tuple[bool, str]:
     gens = dense.gen_indices()
     if dense.closure(gens).size != n:
         return False, "generator images do not generate"
-    if dense.series.nilpotency_class > q.basis.nilpotency_class:
+    images, inverses = _symbol_images(q, dense)
+    r = q.basis.rank
+    xs = np.array(images[:r] + inverses[:r], dtype=np.int64)
+    ys = np.roll(xs, r)  # ys[i] = xs[i]^-1
+    comms, comms_inv = xs, ys
+    for _ in range(q.basis.nilpotency_class):
+        # [a, b] = a^-1 b^-1 a b and [a, b]^-1 = b^-1 a^-1 b a
+        a, a_inv = comms[:, None], comms_inv[:, None]
+        comms, comms_inv = (_product(dense, a_inv, ys, a, xs).ravel(),
+                            _product(dense, ys, a_inv, xs, a).ravel())
+    if comms.any():
         return False, "class exceeds that of the basis"
-    if not _relator_masks(q.basis, q.relator_set.relators, dense, gens).all():
-        return False, "relators do not vanish on the tables"
+    for rel in q.relator_set.relators:
+        acc = 0
+        for s, e in rel.letters():
+            acc = dense.mult(acc, dense.power(images[s] if e > 0 else inverses[s], abs(e)))
+        if acc:
+            return False, "relators do not vanish on the tables"
     return True, "regular right action, image of F/N"
+
+
+def _product(dense, acc, *factors):
+    for f in factors:
+        acc = dense.mult(acc, f)
+    return acc
+
+
+def _symbol_images(q: FiniteQuotient, dense) -> tuple[list[int], list[int]]:
+    """Indices of the images of all basis symbols in a table group of
+    order n, and of their inverses: a generator image inverts as
+    ``a^(n-1)`` (Lagrange), a bracket ``[hi, lo]`` as ``[lo, hi]``."""
+    images = list(dense.gen_indices())
+    inverses = [dense.power(g, dense.n - 1) for g in images]
+    for sym in q.basis.symbols[q.basis.rank:]:
+        hi, lo = sym.bracket
+        images.append(_product(dense, inverses[hi], inverses[lo], images[hi], images[lo]))
+        inverses.append(_product(dense, inverses[lo], inverses[hi], images[lo], images[hi]))
+    return images, inverses
 
 
 def _normal_forms(q: FiniteQuotient, dense) -> tuple[bool, str]:
@@ -836,21 +749,17 @@ def _normal_forms(q: FiniteQuotient, dense) -> tuple[bool, str]:
     Run after `group-certificate`, so the generator images define an
     epimorphism phi: F/N -> table group; with `order-bound` the orders are
     equal and phi is an isomorphism.  The image of a higher symbol is the
-    bracket ``[hi, lo]`` of its factors' images, with inverses as powers
-    ``a^(n-1)`` (Lagrange), and phi(decode(i)) is the product of the
-    symbols' images raised to the digits of i, in pc order.  When that is i
-    for every i, ``mult(i, j) = phi(decode(i) * decode(j))``, which is the
-    index of `pc_multiply`: the tables agree with symbolic reduction on all
+    bracket ``[hi, lo]`` of its factors' images (`_symbol_images`), and
+    phi(decode(i)) is the product of the symbols' images raised to the
+    digits of i, in pc order.  When that is i for every i,
+    ``mult(i, j) = phi(decode(i) * decode(j))``, which is the index of
+    `pc_multiply`: the tables agree with symbolic reduction on all
     n^2 pairs, and `reduce` retracts onto the normal forms (Sims,
     Computation with Finitely Presented Groups, ch. 9).
     Returns (ok, detail); the detail names the first index that fails.
     """
     n = dense.n
-    images = list(dense.gen_indices())
-    for sym in q.basis.symbols[q.basis.rank:]:
-        hi, lo = (images[k] for k in sym.bracket)
-        inv = dense.power(dense.mult(lo, hi), n - 1)  # (lo * hi)^-1
-        images.append(dense.mult(dense.mult(inv, hi), lo))
+    images, _inverses = _symbol_images(q, dense)
     idx = np.arange(n, dtype=np.int64)
     got = np.zeros(n, dtype=np.int64)
     for s in q.pc_symbols:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from itertools import permutations, product
@@ -5,6 +6,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from nilforge import lab
 from nilforge.hall import builtin_basis, collect, inverse, multiply, power
 from nilforge.lab import DenseGroup
 from nilforge.quotients import (
@@ -344,18 +346,29 @@ def test_dense_tables_agree_with_the_symbolic_oracle(p):
         assert np.array_equal(dense.mult(ii, jj), direct), relset.label
 
 
-def test_consistency_check_never_reduces_arrays_once_tables_exist(monkeypatch):
-    # the records read the tables and the scalar oracle only: the array
-    # engine that built the tables is not asked to vouch for them
+def test_consistency_check_never_builds_a_second_table(monkeypatch):
+    # the records read the tables and the scalar oracle only: the builder
+    # that made the tables is not asked to vouch for them
     q = make_quotient(standard_relators("N_r", 5, 1))
     q.dense
 
-    def refuse(self, letters):
-        raise AssertionError("array reduction after the tables were built")
+    def refuse(quotient):
+        raise AssertionError("table build after the tables were built")
 
-    monkeypatch.setattr(FiniteQuotient, "reduce_arrays", refuse)
+    monkeypatch.setattr(lab, "_pc_rows", refuse)
     rep = consistency_check(q)
     assert rep.passed, rep.failures()
+
+
+@pytest.mark.parametrize("kind,p,r", [("N_r", 7, 3), ("DH_M_r", 5, 2)])
+def test_consistency_check_builds_no_inverse_order_or_series_table(kind, p, r):
+    # the class bound is one array of commutators, and inverses are powers
+    # a^(n-1): the proof needs no per-element inverse or order table and no
+    # lower central series
+    q = _fresh(kind, p, r)
+    rep = consistency_check(q)
+    assert rep.passed, rep.failures()
+    assert not {"inv", "orders", "series"} & set(vars(q.dense))
 
 
 def test_normal_forms_rejects_a_relabelled_table():
@@ -490,6 +503,17 @@ def test_group_certificate_rejects_relator_outside_kernel():
     q = FiniteQuotient(F23, relset, good.moduli, good.tails)
     assert _group_certificate(q, q.dense) == (
         False, "relators do not vanish on the tables")
+
+
+def test_group_certificate_rejects_a_class_above_the_basis():
+    # N_r(5, 2) has class 3: read against a copy of F23 that claims class 2,
+    # its left-normed commutators of weight 3 do not all vanish
+    q = _fresh("N_r", 5, 2)
+    dense = q.dense
+    q.basis = copy.copy(q.basis)
+    q.basis.nilpotency_class = 2
+    assert _group_certificate(q, dense) == (
+        False, "class exceeds that of the basis")
 
 
 def test_group_certificate_rejects_non_generating_images():

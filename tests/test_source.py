@@ -44,18 +44,17 @@ def test_no_module_level_mutable_state_in_sources():
     assert not found, f"module-level mutable state in the sources: {found}"
 
 
-# The scalar symbolic oracle, per module, and the names of the array engine
-# that builds the dense tables.  The oracle checks those tables
+# The scalar symbolic oracle, per module, and the names of the table builder
+# that makes the dense tables.  The oracle checks those tables
 # (`test_dense_tables_agree_with_the_symbolic_oracle`), so it must not reach
-# the engine it checks.
+# the code it checks.
 SCALAR_PATH = {
     "hall.py": {"_collect_letters", "_collect_onto"},
     "quotients.py": {"_emit", "_rewrite_fixpoint", "_tail_power_letters",
                      "FiniteQuotient.reduce", "FiniteQuotient.reduce_letters",
                      "FiniteQuotient.pc_multiply"},
 }
-ARRAY_ENGINE = {"_collect_arrays", "_rewrite_arrays", "_emit_arrays",
-                "_newton_letters", "reduce_arrays", "np"}
+ARRAY_ENGINE = {"DenseGroup", "dense", "_pc_rows", "np"}
 
 
 def _definitions(tree):
@@ -82,6 +81,19 @@ def test_scalar_oracle_is_independent_of_the_array_engine():
             found += [f"{path.name}:{name} uses {ref}" for ref in sorted(used & ARRAY_ENGINE)]
     assert seen == {(mod, name) for mod, names in SCALAR_PATH.items() for name in names}
     assert not found, found
+    # collection in the free group has no array form to reach
+    hall = next(path for path in SOURCES if path.name == "hall.py")
+    assert "numpy" not in _imported(ast.parse(hall.read_text(), filename=str(hall)))
+
+
+def _imported(tree) -> set[str]:
+    """Top-level package names that a module imports."""
+    names = {alias.name.split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    return names | {(node.module or "").split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    if not node.level}
 
 
 def test_consistency_proof_samples_nothing():
@@ -89,12 +101,7 @@ def test_consistency_proof_samples_nothing():
     # random numbers, and the check takes the quotient and no seed or knob
     path = next(path for path in SOURCES if path.name == "quotients.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    imported = {alias.name.split(".")[0]
-                for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names}
-    imported |= {(node.module or "").split(".")[0]
-                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "random" not in imported
+    assert "random" not in _imported(tree)
     (check,) = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "consistency_check"]
     args = check.args
