@@ -14,7 +14,8 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .quotients import FiniteQuotient, QuotientError, standard_relators
+from .quotients import (FiniteQuotient, QuotientError, make_quotient,
+                         standard_relators)
 
 CACHE_SCHEMA = "nilforge-cache/1"
 
@@ -92,14 +93,12 @@ def cache_load(basis_name: str, p: int, label: str,
 def cached_quotient(kind: str, p: int, r: int | None = None,
                     cache_dir: Path | str | None = None,
                     warnings: list[str] | None = None) -> FiniteQuotient:
-    """Quotient builder used by campaigns.  Construction is shared with the
-    in-memory `standard_quotient` memo; the disk entry is verified against
-    the constructed payload on every use (corrupt or stale files are
-    reported and replaced, never trusted)."""
-    from .quotients import standard_quotient
-
+    """Quotient builder used by campaigns.  Every call builds a new
+    quotient, which the caller owns; the disk entry is verified against the
+    constructed payload on every use (corrupt or stale files are reported
+    and replaced, never trusted)."""
     relset = standard_relators(kind, p, r)
-    q = standard_quotient(kind, p, r)
+    q = make_quotient(relset)
     disk, status = cache_load(relset.basis.name, p, relset.label, cache_dir)
     if disk is None:
         if status != "miss" and warnings is not None:

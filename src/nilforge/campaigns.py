@@ -11,7 +11,7 @@ import numpy as np
 from . import dh, lab, orbits
 from .cache import cached_quotient
 from .hall import builtin_basis, power
-from .quotients import consistency_check
+from .quotients import consistency_check, make_quotient, standard_relators
 from .reports import CampaignConfig, ClaimEntry, VerificationReport
 
 __all__ = ["run_theorem_campaign", "run_example_campaign"]
@@ -143,12 +143,12 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
         bad_criterion = 0
         for _ in range(draws):
             params = orbits.sample_psi_params(p, rng)
-            if not orbits.psi_congruence_suite(p, params).passed:
+            if not orbits.psi_congruence_suite(K, params).passed:
                 bad_suite += 1
             r = rng.choice(rs)
             s = rng.choice(rs)
             if (orbits.membership_criterion(p, r, s, params)
-                    != orbits.psi_transports(p, r, s, params)):
+                    != orbits.psi_transports(quots[r], quots[s], params)):
                 bad_criterion += 1
         counts = {"draws": draws, "congruence_failures": bad_suite,
                   "criterion_mismatches": bad_criterion}
@@ -196,7 +196,7 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
         ok = True
         for r, s in pairs:
             if orbits.orbit_decision(p, r, s):
-                cert = orbits.orbit_witness(p, r, s)
+                cert = orbits.orbit_witness(p, r, s, quots[r], quots[s])
                 if not cert.witness_verified:
                     ok = False
                 equivalent.append((r, s))
@@ -204,7 +204,7 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
                 if budget is not None and scans >= budget:
                     unscanned += 1
                     continue
-                cert = orbits.orbit_witness(p, r, s)  # raises on contradiction
+                cert = orbits.orbit_witness(p, r, s, quots[r], quots[s])
                 scans += 1
                 counts[f"dets({r},{s})"] = ",".join(map(str, cert.det_residues))
         classes = sorted({tuple(sorted({r, (p - r) % p} & set(rs)))
@@ -247,8 +247,13 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
     rs = config.r_values(p)
     scannable = p ** 6 <= lab._SCAN_BOUND
 
-    for r in rs:
-        cached_quotient("DH_M_r", p, r, config.cache_dir, report.warnings)
+    quots = {r: cached_quotient("DH_M_r", p, r, config.cache_dir,
+                                report.warnings) for r in rs}
+
+    # the r = 1 target and the obstruction's r: once each, off the disk cache
+    for r in {1, dh.find_valid_r(p)} - {None, *rs}:
+        quots[r] = make_quotient(standard_relators("DH_M_r", p, r))
+
     # lift searches already run at this prime, by (r, s); dh-aut's (1, 1)
     # search serves the (1, 1) pair of dh-orbit-grid
     searched: dict[tuple[int, int], list] = {}
@@ -259,7 +264,7 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
         ok = True
         counts = {}
         for r in rs:
-            rep = dh.verify_structure(p, r)
+            rep = dh.verify_structure(quots[r])
             counts[f"r={r}"] = (f"order={rep.order},derived={rep.derived_order},"
                                 f"center={rep.center_order},agemo={rep.agemo_order}")
             ok &= rep.passed
@@ -273,7 +278,7 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
         ok = True
         counts = {}
         for r in rs:
-            phi = dh.scaling_isomorphism(p, r)
+            phi = dh.scaling_isomorphism(quots[r], quots[1], r)
             det = lab.induced_frattini_matrix(phi).det
             counts[f"r={r}"] = f"det={det}"
             ok &= det == pow(r, 3, p)
@@ -303,7 +308,7 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
             raise _Skip(
                 f"no unit r has r^3 distinct from +-1 mod {p}; the "
                 "determinant obstruction is vacuous at this prime")
-        all_hits = dh.matrix_lift_search(p, r0, 1)
+        all_hits = dh.matrix_lift_search(quots[r0], quots[1])
         pm1_hits = [c for c in all_hits if c.det_residue in (1, p - 1)]
         dets = sorted({c.det_residue for c in all_hits})
         counts = {"r": r0, "candidates": len(all_hits),
@@ -320,8 +325,8 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
     def claim_aut():
         if p not in (5, 7):
             raise _Skip("certified searches are sized for p in {5, 7}")
-        searched[1, 1] = dh.matrix_lift_search(p, 1, 1)
-        rep = dh.characteristic_check(p, searched[1, 1])
+        searched[1, 1] = dh.matrix_lift_search(quots[1], quots[1])
+        rep = dh.characteristic_check(quots[1], searched[1, 1])
         counts = {"lift_group_order": rep.lift_group_order,
                   "dets_one": rep.all_det_one,
                   "contains_shear": rep.contains_shear,
@@ -343,7 +348,8 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
         ok = True
         try:
             for r, s in pairs:
-                cert = dh.dh_orbit_decision(p, r, s, searched.get((r, s)))
+                cert = dh.dh_orbit_decision(p, r, s, quots[r], quots[s],
+                                            searched.get((r, s)))
                 if cert.certified:
                     certified += 1
                 else:
@@ -365,9 +371,8 @@ def _example_claims(report: VerificationReport, config: CampaignConfig,
         if p > 7:
             raise _Skip("certified searches are sized for p <= 7")
         samples = min(config.psi_samples, 300)
-        r0 = rs[0]
-        okay = dh.central_correction_invariance(p, r0, 1, samples=samples,
-                                                seed=config.seed)
+        okay = dh.central_correction_invariance(
+            quots[rs[0]], quots[1], samples=samples, seed=config.seed)
         return okay, {"samples": samples}
 
     _run(report, f"p{p}.dh-central-corrections",

@@ -14,7 +14,7 @@ import sys
 from .cache import cache_entries, cached_quotient, clear_cache, default_cache_dir
 from .campaigns import run_example_campaign, run_theorem_campaign
 from .hall import builtin_basis
-from .quotients import QuotientError, consistency_check
+from .quotients import QuotientError, consistency_check, standard_quotient
 from .reports import CampaignConfig, UsageError
 from .wordexpr import WordParseError, format_normal_form, parse_word
 
@@ -156,7 +156,9 @@ def _dispatch(args) -> int:
     if args.command == "orbit":
         from .orbits import orbit_witness
 
-        cert = orbit_witness(args.prime, args.r, args.s)
+        p, r, s = args.prime, args.r, args.s
+        cert = orbit_witness(p, r, s, standard_quotient("N_r", p, r),
+                             standard_quotient("N_r", p, s))
         if args.format == "json":
             print(json.dumps(cert.to_dict(), sort_keys=True, indent=2))
         else:

@@ -34,7 +34,7 @@ from .lab import (
     _transport_tuples,
     subgroup_functors,
 )
-from .quotients import FiniteQuotient, QuotientError, standard_quotient
+from .quotients import FiniteQuotient, QuotientError
 
 __all__ = [
     "MatrixLiftCandidate",
@@ -75,7 +75,6 @@ class MatrixLiftCandidate:
 @dataclass(frozen=True)
 class StructureReport:
     p: int
-    r: int
     order: int
     order_expected: int
     derived_order: int
@@ -90,28 +89,28 @@ class StructureReport:
                 and self.derived_order == self.p ** 3)
 
 
-def verify_structure(p: int, r: int) -> StructureReport:
-    """Build the order-p^6 quotient and check that derived subgroup, center
-    and p-th-power subgroup coincide with common order p^3."""
-    q = standard_quotient("DH_M_r", p, r)
+def verify_structure(q: FiniteQuotient) -> StructureReport:
+    """Check that the derived subgroup, center and p-th-power subgroup of an
+    order-p^6 quotient coincide with common order p^3."""
+    p = q.prime
     functors = subgroup_functors(q)
     derived = functors["derived"]
     center = functors["center"]
     agemo = functors["agemo_p"]
     same = np.array_equal(derived, center) and np.array_equal(derived, agemo)
-    return StructureReport(p, r, q.order, p ** 6, derived.size,
+    return StructureReport(p, q.order, p ** 6, derived.size,
                            center.size, agemo.size, same)
 
 
-def scaling_isomorphism(p: int, r: int) -> Homomorphism:
+def scaling_isomorphism(src: FiniteQuotient, dst: FiniteQuotient,
+                        r: int) -> Homomorphism:
     """The map sending each generator to its r-th power, as a verified
-    isomorphism onto the r = 1 quotient."""
-    src = standard_quotient("DH_M_r", p, r)
-    dst = standard_quotient("DH_M_r", p, 1)
+    isomorphism from the r-family ``src`` onto the r = 1 quotient ``dst``."""
     images = [dst.pc_power(dst.generator_image(j), r) for j in range(3)]
     phi = Homomorphism(src, dst, images)  # relator transport checked here
     if not phi.is_bijective():
-        raise DhContradiction(f"scaling map for (p,r)=({p},{r}) is not bijective")
+        raise DhContradiction(
+            f"scaling map for (p,r)=({src.prime},{r}) is not bijective")
     return phi
 
 
@@ -141,16 +140,16 @@ def _lift_indices(q: FiniteQuotient, cols) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def matrix_lift_search(p: int, r: int, s: int) -> list[MatrixLiftCandidate]:
+def matrix_lift_search(source: FiniteQuotient, target: FiniteQuotient
+                       ) -> list[MatrixLiftCandidate]:
     """All invertible matrices over F_p whose monomial lift carries every
-    relator of the r-family into the s-family, in lexicographic column
-    order.  The relators are read from the r-family quotient and checked by
-    `lab._transport_tuples` on the monomials of the s-family.
+    relator of the ``source`` family into the ``target`` family, in
+    lexicographic column order.  The relators are read from ``source`` and
+    checked by `lab._transport_tuples` on the monomials of ``target``.
     """
+    p = source.prime
     if p > 7:
         raise QuotientError("matrix search is sized for p <= 7")
-    source = standard_quotient("DH_M_r", p, r)
-    target = standard_quotient("DH_M_r", p, s)
     triples = np.array(list(product(range(p), repeat=3)), dtype=np.int64)
     mono = _lift_indices(target, triples)
     out: list[MatrixLiftCandidate] = []
@@ -164,27 +163,25 @@ def matrix_lift_search(p: int, r: int, s: int) -> list[MatrixLiftCandidate]:
     return out
 
 
-def candidate_transports(cand: MatrixLiftCandidate, r: int, s: int) -> bool:
-    """Directly re-check one candidate: every relator of the r-family maps
-    into the s-family under the monomial lift."""
-    source = standard_quotient("DH_M_r", cand.p, r)
-    target = standard_quotient("DH_M_r", cand.p, s)
+def candidate_transports(cand: MatrixLiftCandidate, source: FiniteQuotient,
+                         target: FiniteQuotient) -> bool:
+    """Directly re-check one candidate: every relator of ``source`` maps
+    into ``target`` under the monomial lift."""
     return bool(_relator_masks(source.basis, source.relator_set.relators,
                                target.dense,
                                _lift_indices(target, cand.images)).all())
 
 
-def central_correction_invariance(p: int, r: int, s: int, samples: int = 200,
+def central_correction_invariance(source: FiniteQuotient,
+                                  target: FiniteQuotient, samples: int = 200,
                                   seed: int = 0) -> bool:
     """Property test for the search's reduction to monomial lifts: for
     random candidate matrices and random central corrections, the
     relator-transport verdict is unchanged by the corrections."""
     rng = random.Random(seed)
-    source = standard_quotient("DH_M_r", p, r)
-    target = standard_quotient("DH_M_r", p, s)
     dT = target.dense
     center = dT.center_indices()
-    mono = _lift_indices(target, product(range(p), repeat=3))
+    mono = _lift_indices(target, product(range(target.prime), repeat=3))
     base = np.empty((3, samples), dtype=np.int64)
     corr = np.empty((3, samples), dtype=np.int64)
     for k in range(samples):
@@ -220,13 +217,14 @@ class DhOrbitCertificate:
         }
 
 
-def dh_orbit_decision(p: int, r: int, s: int,
+def dh_orbit_decision(p: int, r: int, s: int, source: FiniteQuotient,
+                      target: FiniteQuotient,
                       lifts: list[MatrixLiftCandidate] | None = None
                       ) -> DhOrbitCertificate:
     """Residue decision r = +-s (mod p), certified by the det +-1 lifts of
-    `matrix_lift_search` where that argument applies.  ``lifts``, when
-    given, is the result of `matrix_lift_search(p, r, s)`, which is then
-    not run again.
+    `matrix_lift_search` on the r- and s-family quotients ``source`` and
+    ``target`` where that argument applies.  ``lifts``, when given, is the
+    result of `matrix_lift_search(source, target)`, not run again then.
 
     An equivalent pair must produce a det +-1 witness (any p in {5, 7}).
     An inequivalent pair is certified by an *empty* det +-1 search, but that
@@ -244,7 +242,7 @@ def dh_orbit_decision(p: int, r: int, s: int,
         return DhOrbitCertificate(p, r, s, equivalent, None, 0, False,
                                   "no certified search at this prime")
     if lifts is None:
-        lifts = matrix_lift_search(p, r, s)
+        lifts = matrix_lift_search(source, target)
     hits = [c for c in lifts if c.det_residue in (1, p - 1)]
     if equivalent:
         if not hits:
@@ -252,7 +250,7 @@ def dh_orbit_decision(p: int, r: int, s: int,
                 f"no det +-1 witness for the equivalent pair "
                 f"(p,r,s)=({p},{r},{s})")
         witness = hits[0]
-        if not candidate_transports(witness, r, s):
+        if not candidate_transports(witness, source, target):
             raise DhContradiction("witness failed direct re-verification")
         return DhOrbitCertificate(p, r, s, True, witness, len(hits), True)
     t = (r * pow(s, p - 2, p)) % p
@@ -289,20 +287,21 @@ class CharacteristicReport:
                 and self.negative_control_moved)
 
 
-def characteristic_check(p: int, lifts: list[MatrixLiftCandidate] | None = None
+def characteristic_check(q: FiniteQuotient,
+                         lifts: list[MatrixLiftCandidate] | None = None
                          ) -> CharacteristicReport:
-    """At r = s = 1: the passing matrices form a p-power-order group of
-    determinant one containing the shear x -> x, y -> xy, z -> yz, and both
-    <G', x> and <G', x, y> are preserved by every member (central
-    automorphisms fix them too, since the center lies inside both).  The
-    subgroup <G', y> is a negative control moved by the shear.  ``lifts``,
-    when given, is the result of `matrix_lift_search(p, 1, 1)`."""
+    """At r = s = 1, on the r = 1 quotient q: the passing matrices form a
+    p-power-order group of determinant one containing the shear x -> x,
+    y -> xy, z -> yz, and both <G', x> and <G', x, y> are preserved by every
+    member (central automorphisms fix them too, since the center lies inside
+    both).  The subgroup <G', y> is a negative control moved by the shear.
+    ``lifts``, when given, is the result of `matrix_lift_search(q, q)`."""
+    p = q.prime
     if p not in (5, 7):
         raise ValueError("characteristic check is certified for p in {5, 7}")
-    q = standard_quotient("DH_M_r", p, 1)
     dense = q.dense
     if lifts is None:
-        lifts = matrix_lift_search(p, 1, 1)
+        lifts = matrix_lift_search(q, q)
     mats = {cand.matrix for cand in lifts}
     closed = all((FrattiniMatrix(p, m1) * FrattiniMatrix(p, m2)).entries in mats
                  for m1 in mats for m2 in mats)

@@ -185,16 +185,21 @@ class DenseGroup:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        o = self.orders
-        inv = np.zeros(self.n, dtype=np.int64)
+        # (g_1^e_1 ... g_T^e_T)^-1 = g_T^-e_T ... g_1^-e_1, g_t^-1 = g_t^(n-1)
+        q = self.quotient
+        syms = self.pc_syms[::-1]
+        gens = np.array([q._strides[s] for s in syms], dtype=np.int64)
+        pows = [0 * gens, self.power(gens, self.n - 1)]  # row e: each g_t^-e
+        while len(pows) < max(q.moduli):
+            pows.append(self.mult(pows[-1], pows[1]))
+        pows = np.array(pows)
         idx = np.arange(self.n, dtype=np.int64)
-        for val in np.unique(o):
-            sel = o == val
-            inv[sel] = self.power(idx[sel], int(val) - 1)
+        inv = np.zeros(self.n, dtype=np.int64)
+        for k, s in enumerate(syms):
+            inv = self.mult(inv, pows[idx // q._strides[s] % q.moduli[s], k])
         if not (self.mult(idx, inv) == 0).all():
-            raise QuotientError(
-                f"inverse table of {self.quotient.label} is inconsistent")
-        return inv
+            raise QuotientError(f"inverse table of {q.label} is inconsistent")
+        return inv.astype(np.int64)
 
     def power(self, a, e: int):
         aa = np.asarray(a, dtype=np.int64)

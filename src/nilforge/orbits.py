@@ -36,11 +36,7 @@ from .hall import (
     multiply,
     power,
 )
-from .quotients import (
-    FiniteQuotient,
-    QuotientError,
-    standard_quotient,
-)
+from .quotients import FiniteQuotient, QuotientError
 
 __all__ = [
     "PsiParams",
@@ -131,12 +127,13 @@ class PsiCongruenceReport:
         return all(ok for _name, ok in self.checks)
 
 
-def psi_congruence_suite(p: int, params: PsiParams) -> PsiCongruenceReport:
-    """Verify the congruences mod the order-p^5 quotient for one draw."""
+def psi_congruence_suite(K: FiniteQuotient, params: PsiParams
+                         ) -> PsiCongruenceReport:
+    """Verify the congruences mod the order-p^5 quotient K for one draw."""
+    p = K.prime
     if params.p != p:
         raise ValueError("parameter prime mismatch")
     basis = builtin_basis("F23")
-    K = standard_quotient("K", p)
     psi = psi_endomorphism(params)
     x, y = basis.gens()
     d = basis.generator(3)
@@ -161,13 +158,12 @@ def membership_criterion(p: int, r: int, s: int, params: PsiParams) -> bool:
     return (params.i * params.k * s - r) % p == 0
 
 
-def psi_transports(p: int, r: int, s: int, params: PsiParams) -> bool:
+def psi_transports(src: FiniteQuotient, dst: FiniteQuotient,
+                   params: PsiParams) -> bool:
     """Ground truth for `membership_criterion`: apply the endomorphism to
-    every relator of the r-family and test membership in the s-family."""
+    every relator of the ``src`` family and test membership in ``dst``."""
     psi = psi_endomorphism(params)
-    target = standard_quotient("N_r", p, s)
-    rels = standard_quotient("N_r", p, r).relator_set.relators
-    return all(target.membership(psi(rel)) for rel in rels)
+    return all(dst.membership(psi(rel)) for rel in src.relator_set.relators)
 
 
 def _solve_unimodular(cols: list[list[int]], rhs: list[int]) -> list[int]:
@@ -308,8 +304,9 @@ def _endo_transports(images, src: FiniteQuotient, dst: FiniteQuotient) -> bool:
     return all(dst.membership(endo(rel)) for rel in src.relator_set.relators)
 
 
-def orbit_witness(p: int, r: int, s: int) -> OrbitCertificate:
-    """Constructive certificate for one (r, s) pair.
+def orbit_witness(p: int, r: int, s: int, Gr: FiniteQuotient,
+                  Gs: FiniteQuotient) -> OrbitCertificate:
+    """Constructive certificate for (r, s) on Gr = F/N_r and Gs = F/N_s.
 
     Equivalent pairs get an ambient automorphism carrying one relator family
     onto the other, verified in both directions (the canonical witnesses are
@@ -322,8 +319,6 @@ def orbit_witness(p: int, r: int, s: int) -> OrbitCertificate:
             raise ValueError("exhaustive certification is limited to p in {5, 7}")
         from .lab import isomorphism_det_scan
 
-        Gr = standard_quotient("N_r", p, r)
-        Gs = standard_quotient("N_r", p, s)
         scan = isomorphism_det_scan(Gr, Gs)
         expected = (r * pow(s, p - 2, p)) % p
         if set(scan.det_residues) & {1, p - 1}:
@@ -342,8 +337,6 @@ def orbit_witness(p: int, r: int, s: int) -> OrbitCertificate:
     basis = builtin_basis("F23")
     x, y = basis.gens()
     images = (x, y) if (r - s) % p == 0 else (x, inverse(y))
-    Gr = standard_quotient("N_r", p, r)
-    Gs = standard_quotient("N_r", p, s)
     forward = _endo_transports(images, Gr, Gs)
     backward = _endo_transports(images, Gs, Gr)  # both witnesses are involutions
     if not (forward and backward):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -572,12 +572,8 @@ def membership(q: FiniteQuotient, a: FreeNilElement) -> bool:
 
 
 def standard_quotient(kind: str, p: int, r: int | None = None) -> FiniteQuotient:
-    """Memoized quotient for one of the standard relator families."""
-    return _standard_quotient(kind, p, r)
-
-
-@lru_cache(maxsize=None)
-def _standard_quotient(kind, p, r):
+    """A freshly built quotient for one of the standard relator families.
+    Nothing is memoized: the caller owns the quotient and its tables."""
     return make_quotient(standard_relators(kind, p, r))
 
 

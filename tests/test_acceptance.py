@@ -68,7 +68,7 @@ def test_criterion_02_structure():
             assert inv.nilpotency_class == 3
             assert inv.exponent == p * p
     for r in range(1, 5):
-        rep = verify_structure(5, r)
+        rep = verify_structure(standard_quotient("DH_M_r", 5, r))
         assert rep.passed
         assert rep.derived_order == rep.center_order == rep.agemo_order == 125
     _report(2, time.perf_counter() - t0, 120,
@@ -78,17 +78,15 @@ def test_criterion_02_structure():
 
 def test_criterion_03_pairwise_isomorphism():
     t0 = time.perf_counter()
-    rs5 = range(1, 5)
-    for i, r in enumerate(rs5):
-        for s in list(rs5)[i + 1:]:
-            scan = isomorphism_det_scan(standard_quotient("N_r", 5, r),
-                                        standard_quotient("N_r", 5, s))
+    q5 = {r: standard_quotient("N_r", 5, r) for r in range(1, 5)}
+    for i, r in enumerate(q5):
+        for s in list(q5)[i + 1:]:
+            scan = isomorphism_det_scan(q5[r], q5[s])
             assert scan.isomorphisms_found > 0
-    rs7 = range(1, 7)
-    for i, r in enumerate(rs7):
-        for s in list(rs7)[i + 1:]:
-            assert is_isomorphic(standard_quotient("N_r", 7, r),
-                                 standard_quotient("N_r", 7, s))
+    q7 = {r: standard_quotient("N_r", 7, r) for r in range(1, 7)}
+    for i, r in enumerate(q7):
+        for s in list(q7)[i + 1:]:
+            assert is_isomorphic(q7[r], q7[s])
     _report(3, time.perf_counter() - t0, 180,
             "all F/N_r pairwise isomorphic (exhaustive at p=5, pruned at p=7)")
 
@@ -99,9 +97,10 @@ def test_criterion_04_orbit_classification():
     classes = {frozenset(s for s in range(1, p) if orbit_decision(p, r, s))
                for r in range(1, p)}
     assert classes == {frozenset({1, 4}), frozenset({2, 3})}
+    qs = {r: standard_quotient("N_r", p, r) for r in range(1, p)}
     for r in range(1, p):
         for s in range(1, p):
-            cert = orbit_witness(p, r, s)
+            cert = orbit_witness(p, r, s, qs[r], qs[s])
             if orbit_decision(p, r, s):
                 assert cert.verdict == "equivalent" and cert.witness_verified
             else:
@@ -139,13 +138,15 @@ def test_criterion_06_psi_congruences():
     t0 = time.perf_counter()
     for p in (5, 7):
         rng = random.Random(f"acceptance|{p}")
+        K = standard_quotient("K", p)
+        qs = {r: standard_quotient("N_r", p, r) for r in range(1, p)}
         for _ in range(200):
             params = sample_psi_params(p, rng)
-            assert psi_congruence_suite(p, params).passed
+            assert psi_congruence_suite(K, params).passed
             r = rng.randrange(1, p)
             s = rng.randrange(1, p)
             assert (membership_criterion(p, r, s, params)
-                    == psi_transports(p, r, s, params))
+                    == psi_transports(qs[r], qs[s], params))
     _report(6, time.perf_counter() - t0, 120,
             "200 random parameter draws per prime satisfy the stability "
             "congruences, and the residue criterion matches direct transport")
@@ -170,11 +171,13 @@ def test_criterion_07_power_lemma():
 
 def test_criterion_08_example_obstruction():
     t0 = time.perf_counter()
-    lifts = matrix_lift_search(5, 2, 1)
+    m1 = standard_quotient("DH_M_r", 5, 1)
+    m2 = standard_quotient("DH_M_r", 5, 2)
+    lifts = matrix_lift_search(m2, m1)
     assert lifts
     assert {c.det_residue for c in lifts} == {3}
     assert [c for c in lifts if c.det_residue in (1, 4)] == []
-    phi = scaling_isomorphism(5, 2)
+    phi = scaling_isomorphism(m2, m1, 2)
     assert induced_frattini_matrix(phi).det == 3
     _report(8, time.perf_counter() - t0, 300,
             "every lift F/M_2 -> F/M_1 at p=5 has det 3; the det +-1 search "
@@ -183,7 +186,7 @@ def test_criterion_08_example_obstruction():
 
 def test_criterion_09_example_aut_claims():
     t0 = time.perf_counter()
-    rep = characteristic_check(5)
+    rep = characteristic_check(standard_quotient("DH_M_r", 5, 1))
     assert rep.passed
     assert rep.lift_group_order == 5  # p-power
     assert rep.all_det_one and rep.contains_shear

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import os
 import shutil
@@ -13,6 +15,7 @@ except ImportError:  # Python 3.10
 import pytest
 
 import nilforge
+from nilforge import lab
 from nilforge.cache import (
     cache_entries,
     cache_key,
@@ -20,7 +23,7 @@ from nilforge.cache import (
     cache_store,
     cached_quotient,
 )
-from nilforge.campaigns import run_theorem_campaign
+from nilforge.campaigns import run_example_campaign, run_theorem_campaign
 from nilforge.cli import main
 from nilforge.quotients import standard_quotient
 from nilforge.reports import CampaignConfig, UsageError
@@ -271,3 +274,24 @@ def test_theorem_report_carries_orbit_classes(tmp_path):
     report = run_theorem_campaign(config)
     grid = [c for c in report.claims if c.claim_id == "p5.orbit-grid"][0]
     assert grid.counts["orbit_classes"] == "{1,4};{2,3}"
+
+
+def test_example_campaign_releases_its_tables(tmp_path):
+    # the campaign owns its quotients, so their tables die with it
+    run_example_campaign(CampaignConfig(primes=(5,), rs=(1, 2),
+                                        cache_dir=str(tmp_path / "c")))
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, lab.DenseGroup)]
+
+
+def test_example_body_with_quotients_outside_rs(tmp_path, capsys):
+    # rs holds neither r = 1 (the scaling target and dh-aut) nor the
+    # obstruction's r0 = 2, so the campaign builds both beyond rs; the body
+    # digest was recorded when every quotient came from a process-wide memo
+    rc = main(["verify-example", "--prime", "5", "--r", "3", "--r", "4",
+               "--cache-dir", str(tmp_path / "c")])
+    body = json.loads(capsys.readouterr().out)["body"]
+    blob = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    assert rc == 0
+    assert (hashlib.sha256(blob.encode()).hexdigest()
+            == "c65cf7c2665789d6bc29a1652daa35b4e24401138b5c8883c72b885ac1fab7ea")

@@ -96,3 +96,15 @@ def test_dense_group_rejects_a_conjugation_that_is_not_a_permutation():
     bad = FiniteQuotient(good.basis, good.relator_set, moduli, tuple(tails))
     with pytest.raises(QuotientError, match="conjugation by x is not a permutation"):
         DenseGroup(bad)
+
+
+def test_inverse_table_needs_no_order_table():
+    # the inverse of g_1^e_1 ... g_T^e_T is g_T^-e_T ... g_1^-e_1, one
+    # product per pc symbol, so no element order is computed
+    dense = standard_quotient("DH_M_r", 5, 1).dense
+    inv = dense.inv
+    assert "orders" not in vars(dense)
+    idx = np.arange(dense.n)
+    assert inv.dtype == np.int64
+    assert (dense.mult(inv, idx) == 0).all() and (dense.mult(idx, inv) == 0).all()
+    assert np.array_equal(inv[inv], idx)

@@ -364,13 +364,15 @@ def test_isomorphisms_agree_with_symbolic_oracle():
 @pytest.mark.parametrize("grid", [1, 1 << 30])
 def test_search_output_independent_of_grid(monkeypatch, grid):
     q = standard_quotient("N_r", 5, 1)
+    m1 = standard_quotient("DH_M_r", 5, 1)
+    m2 = standard_quotient("DH_M_r", 5, 2)
     expected = ([tuple(im.index() for im in phi.images)
                  for phi in all_isomorphisms(q, q)],
-                matrix_lift_search(5, 2, 1))
+                matrix_lift_search(m2, m1))
     monkeypatch.setattr(lab, "_GRID", grid)
     assert ([tuple(im.index() for im in phi.images)
              for phi in all_isomorphisms(q, q)],
-            matrix_lift_search(5, 2, 1)) == expected
+            matrix_lift_search(m2, m1)) == expected
 
 
 def test_det_scan_memory_is_bounded():

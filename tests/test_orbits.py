@@ -32,18 +32,27 @@ def params(p, i, j, k, cx=None, cy=None):
     return PsiParams(p, i, j, k, cx or IDENT, cy or IDENT)
 
 
+def n_r(p, r):
+    return standard_quotient("N_r", p, r)
+
+
+def witness(p, r, s):
+    return orbit_witness(p, r, s, n_r(p, r), n_r(p, s))
+
+
 # -- congruence suite -----------------------------------------------------------
 
 def test_psi_suite_identity_params():
-    rep = psi_congruence_suite(5, params(5, 1, 0, 1))
+    rep = psi_congruence_suite(standard_quotient("K", 5), params(5, 1, 0, 1))
     assert rep.passed
     assert len(rep.checks) == 3 + 4  # three stability congruences + each r
 
 
 def test_psi_suite_random_draws():
     rng = random.Random(42)
+    K = standard_quotient("K", 5)
     for _ in range(40):
-        rep = psi_congruence_suite(5, sample_psi_params(5, rng))
+        rep = psi_congruence_suite(K, sample_psi_params(5, rng))
         assert rep.passed, [c for c in rep.checks if not c[1]]
 
 
@@ -68,16 +77,18 @@ def test_psi_params_validation():
 def test_criterion_examples():
     assert membership_criterion(5, 2, 2, params(5, 1, 0, 1))
     assert membership_criterion(5, 3, 2, params(5, 1, 0, 4))
-    assert psi_transports(5, 3, 2, params(5, 1, 0, 4))
+    assert psi_transports(n_r(5, 3), n_r(5, 2), params(5, 1, 0, 4))
     assert not membership_criterion(5, 1, 2, params(5, 1, 0, 1))
 
 
 def test_criterion_matches_transport():
     rng = random.Random(7)
+    qs = {r: n_r(5, r) for r in range(1, 5)}
     for _ in range(60):
         ps = sample_psi_params(5, rng)
         r, s = rng.randrange(1, 5), rng.randrange(1, 5)
-        assert membership_criterion(5, r, s, ps) == psi_transports(5, r, s, ps)
+        assert (membership_criterion(5, r, s, ps)
+                == psi_transports(qs[r], qs[s], ps))
 
 
 # -- lifting criterion -----------------------------------------------------------------
@@ -131,21 +142,21 @@ def test_orbit_classes_at_five():
 # -- certificates ---------------------------------------------------------------------
 
 def test_witness_reflexive_identity():
-    cert = orbit_witness(5, 3, 3)
+    cert = witness(5, 3, 3)
     assert cert.verdict == "equivalent"
     assert cert.witness_verified
     assert cert.witness_images == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
 
 
 def test_witness_negation_pair():
-    cert = orbit_witness(5, 2, 3)
+    cert = witness(5, 2, 3)
     assert cert.verdict == "equivalent"
     assert cert.witness_verified
     assert cert.witness_images == ((1, 0, 0, 0, 0), (0, -1, 0, 0, 0))
     # witness soundness, re-checked directly in both directions
     images = [F23.element(v) for v in cert.witness_images]
-    q2 = standard_quotient("N_r", 5, 2)
-    q3 = standard_quotient("N_r", 5, 3)
+    q2 = n_r(5, 2)
+    q3 = n_r(5, 3)
     from nilforge.hall import FreeEndomorphism
 
     endo = FreeEndomorphism(images)
@@ -154,7 +165,7 @@ def test_witness_negation_pair():
 
 
 def test_witness_inequivalent_scan():
-    cert = orbit_witness(5, 1, 2)
+    cert = witness(5, 1, 2)
     assert cert.verdict == "inequivalent"
     assert cert.det_residues == (3,)
     assert cert.isomorphisms_found == 12500
@@ -163,7 +174,7 @@ def test_witness_inequivalent_scan():
 
 def test_witness_rejects_unsupported_prime():
     with pytest.raises(ValueError):
-        orbit_witness(11, 1, 2)
+        witness(11, 1, 2)
 
 
 # -- power lemma ------------------------------------------------------------------------

@@ -166,10 +166,6 @@ def test_reduce_handles_huge_exponents():
     assert q.reduce(elem) == q.reduce(power(Y, big % 5)) * q.reduce(power(X, 3))
 
 
-def test_standard_quotient_memo_identity():
-    assert standard_quotient("K", 5) is standard_quotient("K", 5, None)
-
-
 def test_pc_element_arithmetic():
     q = standard_quotient("N_r", 5, 1)
     rng = random.Random(6)

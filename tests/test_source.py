@@ -44,6 +44,24 @@ def test_no_module_level_mutable_state_in_sources():
     assert not found, f"module-level mutable state in the sources: {found}"
 
 
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_only_builtin_basis_is_memoized_by_value():
+    # a quotient and its tables belong to whoever builds them; the one
+    # value-keyed memo is the constructor of the two built-in bases
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and {_decorator_name(d) for d in node.decorator_list} & {"lru_cache", "cache"}
+    ]
+    assert found == ["hall.builtin_basis"]
+
+
 # The scalar symbolic oracle, per module, and the names of the table builder
 # that makes the dense tables.  The oracle checks those tables
 # (`test_dense_tables_agree_with_the_symbolic_oracle`), so it must not reach
