@@ -52,6 +52,7 @@ from .orbits import (
     HypothesisNotMet,
     OrbitCertificate,
     OrbitContradiction,
+    PsiBatch,
     PsiParams,
     lifts_to_aut,
     membership_criterion,

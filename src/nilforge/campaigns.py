@@ -137,19 +137,21 @@ def _theorem_claims(report: VerificationReport, config: CampaignConfig,
          "all quotients F/N_r are isomorphic", claim_pairwise)
 
     def claim_psi():
+        """All draws in one `orbits.PsiBatch` on the tables of K; the rng
+        draws params, r and s per draw, in that order."""
         rng = random.Random(f"{config.seed}|{p}|psi")
         draws = config.psi_samples
-        bad_suite = 0
-        bad_criterion = 0
+        params, src, dst, criterion = [], [], [], []
         for _ in range(draws):
-            params = orbits.sample_psi_params(p, rng)
-            if not orbits.psi_congruence_suite(K, params).passed:
-                bad_suite += 1
+            params.append(orbits.sample_psi_params(p, rng))
             r = rng.choice(rs)
             s = rng.choice(rs)
-            if (orbits.membership_criterion(p, r, s, params)
-                    != orbits.psi_transports(quots[r], quots[s], params)):
-                bad_criterion += 1
+            src.append(quots[r])
+            dst.append(quots[s])
+            criterion.append(orbits.membership_criterion(p, r, s, params[-1]))
+        batch = orbits.PsiBatch(K, params)
+        bad_suite = int((~batch.congruences().all(axis=1)).sum())
+        bad_criterion = int((batch.transports(src, dst) != criterion).sum())
         counts = {"draws": draws, "congruence_failures": bad_suite,
                   "criterion_mismatches": bad_criterion}
         return bad_suite == 0 and bad_criterion == 0, counts

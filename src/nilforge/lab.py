@@ -524,24 +524,33 @@ def induced_frattini_matrix(phi: Homomorphism) -> FrattiniMatrix:
 _GRID = 1 << 13  # elements per relator-evaluation grid; bounds scan memory
 
 
-def _relator_masks(basis, relators, dtgt: DenseGroup,
-                   images: Sequence) -> np.ndarray:
-    """Which assignments kill every relator, as a bool array over the
-    broadcast shape of the ambient generator images.  ``images`` may cover
-    only the first generators, as long as the relators mention no other."""
+def _word_values(basis, words, dtgt: DenseGroup,
+                 images: Sequence) -> Iterator[np.ndarray]:
+    """The value of each word in the target, one word at a time, as an
+    int64 index array over the broadcast shape of the ambient generator
+    images.  ``images`` may cover only the first generators, as long as the
+    words mention no other."""
     syms = dict(enumerate(np.asarray(im, dtype=np.int64) for im in images))
     shape = np.broadcast_shapes(*(a.shape for a in syms.values()))
     for i in range(basis.rank, basis.size):
         hi, lo = basis.symbols[i].bracket
         if hi in syms and lo in syms:
             syms[i] = dtgt.comm(syms[hi], syms[lo])
-
-    ok = np.ones(shape, dtype=bool)
-    for rel in relators:
+    for word in words:
         acc = np.zeros(shape, dtype=np.int64)
-        for s, e in rel.letters():
+        for s, e in word.letters():
             acc = dtgt.mult(acc, dtgt.power(syms[s], e))
-        ok &= acc == 0
+        yield acc
+
+
+def _relator_masks(basis, relators, dtgt: DenseGroup,
+                   images: Sequence) -> np.ndarray:
+    """Which assignments kill every relator, as a bool array over the
+    broadcast shape of the ambient generator images (`_word_values`)."""
+    ok = np.ones(np.broadcast_shapes(*(np.shape(im) for im in images)),
+                 dtype=bool)
+    for value in _word_values(basis, relators, dtgt, images):
+        ok &= value == 0
         if not ok.any():
             break
     return ok

@@ -5,13 +5,20 @@ An endomorphism of the rank-two ambient group restricted to the shape
 weight-1 exponents are divisible by p, and i, k prime to p) is tested
 three ways:
 
-* `psi_congruence_suite` verifies, by direct collection and reduction mod
-  the order-p^5 quotient, that such a map stabilizes the common subgroup
-  and acts on the distinguished weight-3 relator by ``x^{-irp} d^{i^2 k}``;
+* the congruences mod the order-p^5 quotient F/K: such a map stabilizes
+  the common subgroup and acts on the distinguished weight-3 relator by
+  ``x^{-irp} d^{i^2 k}``;
 * `membership_criterion` is the residue test i*k*s = r (mod p) for carrying
   one relator family into another, cross-checked against direct transport;
 * `lifts_to_aut` is the integral test i*k = +-1, certified by solving for
   an exact inverse endomorphism.
+
+The congruences and the transports are decided two ways.  `PsiBatch`
+reduces psi(x) and psi(y) into F/K once per draw and then checks all draws
+at once by array lookups in K's tables; the campaign runs this.
+`psi_congruence_suite` and `psi_transports` decide the same checks one draw
+at a time, by collection in F and symbolic reduction, and stay as its
+independent test oracle.
 
 `orbit_witness` then classifies pairs (r, s): for r = +-s it produces a
 verified automorphism witness, and otherwise it certifies inequivalence by
@@ -36,6 +43,7 @@ from .hall import (
     multiply,
     power,
 )
+from .lab import _word_values, isomorphism_det_scan, series_invariants
 from .quotients import FiniteQuotient, QuotientError
 
 __all__ = [
@@ -49,6 +57,7 @@ __all__ = [
     "psi_congruence_suite",
     "membership_criterion",
     "psi_transports",
+    "PsiBatch",
     "lifts_to_aut",
     "invert_endomorphism",
     "orbit_decision",
@@ -164,6 +173,100 @@ def psi_transports(src: FiniteQuotient, dst: FiniteQuotient,
     every relator of the ``src`` family and test membership in ``dst``."""
     psi = psi_endomorphism(params)
     return all(dst.membership(psi(rel)) for rel in src.relator_set.relators)
+
+
+def _psi_letters(params: PsiParams) -> tuple[list, list]:
+    """The letters of psi(x) = x^i y^j c and psi(y) = y^k d."""
+    return ([(0, params.i), (1, params.j)] + params.corr_x.letters(),
+            [(1, params.k)] + params.corr_y.letters())
+
+
+def _power_table(dense, g: int, m: int) -> np.ndarray:
+    """The indices of g^e for e in [0, m), by doubling."""
+    tab = np.zeros(1, dtype=np.int64)
+    while tab.size < m:
+        tab = np.concatenate([tab, dense.mult(tab, dense.power(g, tab.size))])
+    return tab[:m]
+
+
+class PsiBatch:
+    """Many parameter draws of the restricted endomorphism, checked on the
+    tables of F/K all at once.
+
+    Reduction F -> F/K is a homomorphism, so psi(w) mod K is the word w
+    evaluated at the images of x and y in F/K.  Each draw costs two
+    symbolic reductions, ``images[n] = (psi(x), psi(y)) mod K``; every check
+    after that is an array operation over all draws on ``K.dense``
+    (`lab._word_values`).  `psi_congruence_suite` and `psi_transports`
+    decide the same checks by collection in F and stay as its oracle.
+    """
+
+    def __init__(self, K: FiniteQuotient, params):
+        self.K = K
+        self.params = tuple(params)
+        if any(pr.p != K.prime for pr in self.params):
+            raise ValueError("parameter prime mismatch")
+        self.images = np.array(
+            [[K.reduce_letters(w).index() for w in _psi_letters(pr)]
+             for pr in self.params], dtype=np.int64).reshape(-1, 2)
+
+    def _values(self, words, sel=slice(None)) -> np.ndarray:
+        """The (draws, words) indices of psi(w) mod K, for the draws
+        ``sel``."""
+        return np.stack(list(_word_values(self.K.basis, words, self.K.dense,
+                                          self.images[sel].T)), axis=1)
+
+    def congruences(self) -> np.ndarray:
+        """The checks of `psi_congruence_suite`, in its order, as a
+        (draws, p + 2) bool array."""
+        K, p = self.K, self.K.prime
+        x, y = K.basis.gens()
+        d, e = K.basis.generator(3), K.basis.generator(4)
+        vals = self._values(
+            [power(x, p * p), power(y, p), e]
+            + [multiply(power(x, -r * p), d) for r in range(1, p)])
+        # x^(-irp) [y,x,x]^(i^2 k) mod K, from the power tables of x and d
+        dense = K.dense
+        xpow, dpow = (_power_table(dense, g, int(dense.orders[g]))
+                      for g in (K.reduce(x).index(), K.reduce(d).index()))
+        i = np.array([pr.i for pr in self.params], dtype=np.int64)[:, None]
+        k = np.array([pr.k for pr in self.params], dtype=np.int64)[:, None]
+        r = np.arange(1, p, dtype=np.int64)
+        rhs = dense.mult(xpow[-i * r * p % xpow.size],
+                         dpow[i * i * k % dpow.size])
+        return np.concatenate([vals[:, :3] == 0, vals[:, 3:] == rhs], axis=1)
+
+    def _kernel_mask(self, dst: FiniteQuotient) -> np.ndarray:
+        """N/K as a bool mask over F/K, for dst = F/N.  N/K is the normal
+        closure of the images of dst's relators when K <= N, and exactly
+        then |F/K| / |N/K| = |F/N|; any other order raises QuotientError."""
+        dense = self.K.dense
+        ncl = dense.normal_closure(list(_word_values(
+            self.K.basis, dst.relator_set.relators, dense, dense.gen_indices())))
+        if self.K.order // ncl.size != dst.order:
+            raise QuotientError(
+                f"{dst.label} does not contain {self.K.label}: |F/K| / |N/K| "
+                f"is {self.K.order // ncl.size}, not {dst.order}")
+        mask = np.zeros(self.K.order, dtype=bool)
+        mask[ncl] = True
+        return mask
+
+    def transports(self, src, dst) -> np.ndarray:
+        """Per draw n, whether psi carries every relator of ``src[n]`` into
+        the relator subgroup of ``dst[n]``, as a bool array: the values
+        psi(rel) mod K are looked up in the mask of N/K (`_kernel_mask`)."""
+        if len(src) != len(self.params) or len(dst) != len(self.params):
+            raise ValueError("one source and one target per draw required")
+        targets = list(dict.fromkeys(dst))
+        masks = np.array([self._kernel_mask(q) for q in targets],
+                         dtype=bool).reshape(len(targets), self.K.order)
+        row = np.array([targets.index(q) for q in dst], dtype=np.int64)
+        ok = np.ones(len(self.params), dtype=bool)
+        for q in dict.fromkeys(src):
+            sel = np.flatnonzero([s is q for s in src])
+            vals = self._values(q.relator_set.relators, sel)
+            ok[sel] = masks[row[sel, None], vals].all(axis=1)
+        return ok
 
 
 def _solve_unimodular(cols: list[list[int]], rhs: list[int]) -> list[int]:
@@ -317,8 +420,6 @@ def orbit_witness(p: int, r: int, s: int, Gr: FiniteQuotient,
     if not orbit_decision(p, r, s):
         if p not in (5, 7):
             raise ValueError("exhaustive certification is limited to p in {5, 7}")
-        from .lab import isomorphism_det_scan
-
         scan = isomorphism_det_scan(Gr, Gs)
         expected = (r * pow(s, p - 2, p)) % p
         if set(scan.det_residues) & {1, p - 1}:
@@ -357,8 +458,6 @@ def power_lemma_check(q: FiniteQuotient, a, b) -> np.ndarray:
     for a single b this is exactly the per-instance hypothesis.  A failed
     hypothesis raises HypothesisNotMet for the whole batch.
     """
-    from .lab import series_invariants
-
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.ndim != 1 or a.shape != b.shape:

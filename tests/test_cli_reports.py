@@ -41,6 +41,20 @@ def test_report_bodies_byte_identical(tmp_path):
     assert body1 == body2
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("workload", ["theorem-p5", "theorem-p7"])
+def test_report_body_matches_benchmark_golden(workload, tmp_path, capsys):
+    # the benchmark's argv at seed 0, in process; golden.json is only read
+    gold = json.loads(GOLDEN.read_text())[workload]
+    argv = gold["argv"] + ["--seed", "0", "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    blob = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(blob.encode()).hexdigest() == gold["seeds"]["0"]["sha256"]
+
+
 def test_report_headers_carry_timings(tmp_path):
     config = CampaignConfig(cache_dir=str(tmp_path / "c"), **SMALL)
     report = run_theorem_campaign(config)

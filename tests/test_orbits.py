@@ -5,9 +5,10 @@ import pytest
 
 from nilforge import orbits
 from nilforge.campaigns import run_theorem_campaign
-from nilforge.hall import builtin_basis, multiply, power
+from nilforge.hall import builtin_basis, collect, multiply, power
 from nilforge.orbits import (
     HypothesisNotMet,
+    PsiBatch,
     PsiParams,
     invert_endomorphism,
     lifts_to_aut,
@@ -20,7 +21,12 @@ from nilforge.orbits import (
     psi_transports,
     sample_psi_params,
 )
-from nilforge.quotients import QuotientError, standard_quotient
+from nilforge.quotients import (
+    QuotientError,
+    RelatorSet,
+    make_quotient,
+    standard_quotient,
+)
 from nilforge.reports import CampaignConfig
 
 F23 = builtin_basis("F23")
@@ -89,6 +95,100 @@ def test_criterion_matches_transport():
         r, s = rng.randrange(1, 5), rng.randrange(1, 5)
         assert (membership_criterion(5, r, s, ps)
                 == psi_transports(qs[r], qs[s], ps))
+
+
+# -- batched table check against the symbolic oracle -------------------------------
+
+def _draws(p, rs, n, seed):
+    """n draws of (params, r, s) in the campaign's rng order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        ps = sample_psi_params(p, rng)
+        r = rng.choice(rs)
+        out.append((ps, r, rng.choice(rs)))
+    return out
+
+
+def _both_engines(p, draws):
+    """Per draw, the congruence checks and the transport verdict, once from
+    `PsiBatch` on the tables of F/K and once by collection in F."""
+    K = standard_quotient("K", p)
+    qs = {t: n_r(p, t) for _, r, s in draws for t in (r, s)}
+    batch = PsiBatch(K, [ps for ps, _, _ in draws])
+    table = (batch.congruences(),
+             batch.transports([qs[r] for _, r, _ in draws],
+                              [qs[s] for _, _, s in draws]))
+    symbolic = (np.array([[ok for _, ok in psi_congruence_suite(K, ps).checks]
+                          for ps, _, _ in draws]),
+                np.array([psi_transports(qs[r], qs[s], ps)
+                          for ps, r, s in draws]))
+    return table, symbolic
+
+
+@pytest.mark.parametrize("p,rs", [(5, (1, 2, 3, 4)), (7, (1, 2, 6))])
+def test_psi_batch_matches_symbolic_oracle(p, rs):
+    draws = _draws(p, rs, 200, seed=p)
+    (cong, trans), (sym_cong, sym_trans) = _both_engines(p, draws)
+    assert cong.shape == sym_cong.shape == (200, p + 2)
+    assert np.array_equal(cong, sym_cong)
+    assert np.array_equal(trans, sym_trans)
+    assert cong.all()
+    assert 0 < trans.sum() < 200  # both verdicts occur
+    assert trans.tolist() == [membership_criterion(p, r, s, ps)
+                              for ps, r, s in draws]
+
+
+def test_psi_batch_unrestricted_image_fails_in_both_engines():
+    # psi(y) = x*y is outside the restricted shape: write y^-1 x y into the
+    # correction of y, past the validation of PsiParams
+    p = 5
+    y_inv_x_y = collect(F23, [(1, -1), (0, 1), (1, 1)])
+    draws = []
+    for ps, r, s in _draws(p, (1, 2, 3, 4), 20, seed=11):
+        bad = PsiParams(p, ps.i, ps.j, 1, ps.corr_x, IDENT)
+        object.__setattr__(bad, "corr_y", y_inv_x_y)
+        draws.append((bad, r, s))
+    assert psi_endomorphism(draws[0][0])(Y) == multiply(X, Y)
+    (cong, trans), (sym_cong, sym_trans) = _both_engines(p, draws)
+    assert np.array_equal(cong, sym_cong)
+    assert np.array_equal(trans, sym_trans)
+    assert not cong.all(axis=1).any()  # every draw fails a congruence
+    assert not cong[:, 1].any()  # psi(y^p) = (xy)^p is never 1 mod K
+
+
+def test_psi_batch_flipped_criterion_mismatches_alike():
+    p = 5
+    draws = _draws(p, (1, 2, 3, 4), 200, seed=13)
+    (_, trans), (_, sym_trans) = _both_engines(p, draws)
+    flipped = np.array([(ps.i * ps.k * s + r) % p == 0 for ps, r, s in draws])
+    mismatches = set(np.flatnonzero(flipped != trans))
+    assert mismatches == set(np.flatnonzero(flipped != sym_trans))
+    assert mismatches
+
+
+def test_psi_batch_refuses_a_target_that_does_not_contain_K():
+    p = 5
+    rels = (power(X, p), power(Y, p * p), F23.generator(4))
+    target = make_quotient(RelatorSet(F23, rels, "T"))
+    assert target.order == p ** 5
+    batch = PsiBatch(standard_quotient("K", p), [params(p, 1, 0, 1)])
+    with pytest.raises(QuotientError, match="is 625, not 3125"):
+        batch.transports([n_r(p, 1)], [target])
+
+
+def test_psi_claim_fails_under_a_flipped_criterion(monkeypatch, tmp_path):
+    def flipped(p, r, s, ps):
+        return (ps.i * ps.k * s + r) % p == 0
+
+    monkeypatch.setattr(orbits, "membership_criterion", flipped)
+    config = CampaignConfig(primes=(5,), rs=(1, 2), psi_samples=40,
+                            budget_pairs=1, cache_dir=str(tmp_path / "c"))
+    report = run_theorem_campaign(config)
+    claim = [c for c in report.claims if c.claim_id == "p5.psi-congruences"][0]
+    assert claim.verdict == "fail"
+    assert claim.counts["congruence_failures"] == "0"
+    assert int(claim.counts["criterion_mismatches"]) > 0
 
 
 # -- lifting criterion -----------------------------------------------------------------

@@ -125,3 +125,14 @@ def test_consistency_proof_samples_nothing():
     args = check.args
     params = args.posonlyargs + args.args + args.kwonlyargs
     assert [a.arg for a in params] == ["q"] and not (args.vararg or args.kwarg)
+
+
+def test_campaigns_do_not_call_the_symbolic_psi_oracle():
+    # the psi claim runs on `orbits.PsiBatch`; the symbolic suite stays an
+    # independent oracle for it in the tests
+    path = next(path for path in SOURCES if path.name == "campaigns.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    oracle = {"psi_congruence_suite", "psi_transports", "psi_endomorphism"}
+    assert not used & oracle, sorted(used & oracle)
