@@ -22,7 +22,9 @@ Every generator-image scan - the isomorphisms between quotients and their
 Frattini determinants here, the monomial lifts in `dh` - runs through one
 engine, `_transport_tuples`: it reads the relators from the source
 quotient, checks each one as soon as the generators it mentions have
-images, and evaluates them on bounded grids with `_relator_masks`.
+images, and evaluates them on bounded grids with `_relator_masks`.  Its
+word evaluator `_word_values` also runs the batched psi checks of
+`orbits.PsiBatch`.
 Bijectivity is one determinant routine, `hall._det`, over entry arrays.
 Enumeration output is deterministic: candidate tuples come out in
 lexicographic index order, so results do not depend on chunking.
