@@ -12,7 +12,6 @@ from .hall import (
     IntMatrix,
     NilpotentBasis,
     abelianization_matrix,
-    apply_endo,
     builtin_basis,
     collect,
     commutator,
@@ -20,7 +19,7 @@ from .hall import (
     multiply,
     power,
 )
-from .series import TruncatedSeries, magnus_embed, series_multiply, word_series
+from .series import TruncatedSeries, magnus_embed, word_series
 from .quotients import (
     ConsistencyReport,
     FiniteQuotient,
@@ -31,7 +30,6 @@ from .quotients import (
     consistency_check,
     make_quotient,
     membership,
-    reduce_element,
     standard_quotient,
     standard_relators,
 )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "BasisError",
@@ -44,7 +44,6 @@ __all__ = [
     "inverse",
     "power",
     "commutator",
-    "apply_endo",
     "abelianization_matrix",
 ]
 
@@ -239,10 +238,6 @@ class GroupWord:
             if exp == 0:
                 raise BasisError("letters must carry nonzero exponents")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "GroupWord":
-        return cls(tuple((int(s), int(e)) for s, e in pairs))
-
 
 _COLLECT_GUARD = 4_000_000
 
@@ -431,11 +426,6 @@ class FreeEndomorphism:
 
     def matrix(self) -> "IntMatrix":
         return abelianization_matrix(self.images)
-
-
-def apply_endo(images: Sequence[FreeNilElement], a: FreeNilElement) -> FreeNilElement:
-    """Image of ``a`` under the endomorphism sending generator i to images[i]."""
-    return FreeEndomorphism(images)(a)
 
 
 class IntMatrix:

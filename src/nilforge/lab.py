@@ -91,19 +91,17 @@ def _pc_rows(q: FiniteQuotient) -> dict[int, np.ndarray]:
     t, ``(g_t^e * h) * g_t`` is ``g_t^(e+1) * phi(h)``, where g_t^m is one
     element w of G_k+1, and ``(g_t^e * h) * g_j = g_t^e * (h * g_j)`` for
     every later j.  The relations g_t^-1 * g_j * g_t and g_t^m are one
-    scalar `reduce` each.  Raises QuotientError naming t when a relation
-    has a coordinate on t or an earlier symbol, or phi is not a permutation.
+    scalar `reduce` each, and both lie in G_k+1: in F they lie on t and the
+    later symbols, and a reduction whose tails lie on later symbols (the
+    invariant `FiniteQuotient` checks) leaves coordinate t at 0.  Raises
+    QuotientError naming t when phi is not a permutation.
     """
     rows: dict[int, np.ndarray] = {}
     n1 = 1
     for k, t in reversed(list(enumerate(q.pc_symbols))):
-        m, name, later = q.moduli[t], q.basis.symbols[t].name, q.pc_symbols[k + 1:]
-        rels = [q.reduce_letters(word).vector for word in
-                [[(t, -1), (j, 1), (t, 1)] for j in later] + [[(t, m)]]]
-        if any(any(vec[:t + 1]) for vec in rels):
-            raise QuotientError(f"{q.label}: a relation of {name} has a "
-                                f"coordinate on {name} or an earlier symbol")
-        *conj, w = (q.encode(vec) for vec in rels)
+        m, later = q.moduli[t], q.pc_symbols[k + 1:]
+        *conj, w = (q.reduce_letters(word).index() for word in
+                    [[(t, -1), (j, 1), (t, 1)] for j in later] + [[(t, m)]])
         idx = np.arange(n1, dtype=np.int32)
         pows = {j: _row_powers(rows[j], q.moduli[j]) for j in later}
         phi = np.zeros(n1, dtype=np.int32)
@@ -115,7 +113,8 @@ def _pc_rows(q: FiniteQuotient) -> dict[int, np.ndarray]:
             phi = _times(q, pows, phi, np.array(cpow, dtype=np.int32)[digits])
         if not np.array_equal(np.sort(phi), idx):
             raise QuotientError(
-                f"{q.label}: conjugation by {name} is not a permutation")
+                f"{q.label}: conjugation by {q.basis.symbols[t].name} "
+                "is not a permutation")
         last = _times(q, pows, np.full(n1, w, dtype=np.int32), phi)
         shift = np.arange(m, dtype=np.int32)[:, None] * np.int32(n1)
         rows = {j: (shift + row).ravel() for j, row in rows.items()}

@@ -1,25 +1,27 @@
 """Finite quotients of the free nilpotent groups by normal closures.
 
-`make_quotient` reads a power-commutator style reduction system off one
-object, the reduced echelon of the normal closure N in the Hall coordinates
-of F (`_echelon`): the relators, their conjugates by the generators and the
+`make_quotient` reads a power-commutator style rule table off one object,
+the reduced echelon of the normal closure N in the Hall coordinates of F
+(`_echelon`): the relators, their conjugates by the generators and the
 commutators of pivots are sifted into one pivot per leading symbol, with
 equal leading symbols merged by exact integer gcd combinations.  Symbol s
-gets the modulus m_s of its pivot and a tail on the symbols after s, so
-rewriting terminates by construction; modulus 1 marks a symbol that is
-rewritten away entirely.
+gets the modulus m_s of its pivot and a tail on the symbols after s;
+modulus 1 marks a symbol that is rewritten away entirely.  That the tail of
+every symbol lies on the later symbols is the one invariant of a rule
+table, and the `FiniteQuotient` constructor refuses a table without it,
+whether it comes from `make_quotient`, a payload or a direct call.
 
 Canonical representatives are exponent vectors with each entry in
 ``[0, modulus)``; `FiniteQuotient.reduce` maps any element onto its
-representative by fixpoint rewriting, which only ever multiplies by members
-of the normal closure, so cosets are preserved by construction.
+representative in one pass down the symbols, at most one collection per
+symbol, and only ever multiplies by members of the normal closure, so
+cosets are preserved by construction (Sims, Computation with Finitely
+Presented Groups, ch. 9).
 `consistency_check` then proves, exactly, that |F/N| = n: the echelon bounds
 |F/N| <= n and shows that every rule lies in N, and the dense tables are
 the law of a group of order n that is an image of F/N.  Last, it proves that
 index i of the tables is the normal form `decode(i)`, so the tables agree
 with `reduce` on every product.  Nothing is sampled.
-A rule table read from a payload may be divergent; the rewriting caps and
-guards turn that into a `QuotientError`.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "standard_relators",
     "make_quotient",
     "standard_quotient",
-    "reduce_element",
     "membership",
     "consistency_check",
     "ConsistencyReport",
@@ -64,7 +65,7 @@ __all__ = [
 
 
 class QuotientError(RuntimeError):
-    """An inconsistent or non-terminating rule table; never silently patched."""
+    """An inconsistent or malformed rule table; never silently patched."""
 
 
 class InfiniteIndexError(QuotientError):
@@ -163,9 +164,6 @@ def standard_relators(kind: str, p: int, r: int | None = None) -> RelatorSet:
 # quotient construction
 # ---------------------------------------------------------------------------
 
-_REWRITE_CAP = 120
-
-
 def _leading(elem: FreeNilElement) -> tuple[int, int]:
     return next((s, e) for s, e in enumerate(elem.exponents) if e)
 
@@ -260,78 +258,11 @@ def _echelon(relset: RelatorSet) -> dict[int, FreeNilElement]:
     return pivots
 
 
-def _emit(s, e, r, rule, out, cache, depth, limit) -> None:
-    """Append the reduction of one letter s^e that its rule ``r = rule(s)``
-    rewrites: the exponent is kept inside the symbol's modulus and overflow
-    is routed through the symbol's tail.  A nonzero letter is kept as it is,
-    without a call to this, when its rule is ``None`` or ``0 <= e < m``
-    (which needs ``m > 1``).  Reducing an emitted exponent only drops powers
-    of relators, so the coset is preserved wherever the letter sits.
-
-    ``limit`` bounds the bit size of recursively emitted exponents: a sound
-    rule table keeps them within a constant of the input, while a divergent
-    substitution chain doubles them per level and is cut off while powers
-    are still cheap to form.
-    """
-    m, tail = r
-    if m == 1:
-        q = e
-    else:
-        q, rem = divmod(e, m)
-        if rem:
-            out.append((s, rem))
-    if tail.is_identity():
-        return
-    for t, k in _tail_power_letters(tail, q, s, m, cache):
-        if depth >= 40 or abs(k).bit_length() > limit:
-            raise QuotientError("substitution chains did not stabilize")
-        rt = rule(t)
-        if rt is None or 0 <= k < rt[0]:
-            out.append((t, k))
-        else:
-            _emit(t, k, rt, rule, out, cache, depth + 1, limit)
-
-
-def _rewrite_fixpoint(basis, elem, rule, tailpow_cache, cap=_REWRITE_CAP) -> FreeNilElement:
-    # Exponent sizes may square once (cross terms of the input letters) and
-    # then grow additively; doubling round over round means a divergent rule
-    # table, caught here while the integers are still small.
-    vec = elem.exponents
-    allowed = 2 * max(max(vec), -min(vec), 1).bit_length() + 8192
-    for _ in range(cap):
-        changed = False
-        letters: list[tuple[int, int]] = []
-        for s, e in enumerate(vec):
-            if e:
-                r = rule(s)
-                if r is None or 0 <= e < r[0]:
-                    letters.append((s, e))
-                else:
-                    _emit(s, e, r, rule, letters, tailpow_cache, 0, allowed)
-                    changed = True
-        if not changed:
-            return elem if vec is elem.exponents else FreeNilElement(basis, vec)
-        vec = _collect_letters(basis, letters)
-        if max(max(vec), -min(vec)).bit_length() > allowed:
-            raise QuotientError("rewriting exponents grow without bound")
-    raise QuotientError("rewriting did not reach a fixpoint")
-
-
-def _tail_power_letters(tail, q, s, m, cache):
-    key = (s, m, q)
-    got = cache.get(key)
-    if got is None:
-        got = power(tail, q).letters()
-        if len(cache) < 4096:
-            cache[key] = got
-    return got
-
-
 def make_quotient(relset: RelatorSet) -> "FiniteQuotient":
     """The rule table of F/N read off the reduced echelon of N: symbol s
     gets the modulus m_s of its pivot and, as tail, the inverse of the rest
-    of the pivot.  Every tail lives on symbols after s, so rewriting
-    terminates."""
+    of the pivot.  Every tail lives on symbols after s, as the constructor
+    requires."""
     basis = relset.basis
     pivots = _echelon(relset)
     missing = [basis.symbols[s].name for s in range(basis.size) if s not in pivots]
@@ -406,12 +337,14 @@ class FiniteQuotient:
 
     ``moduli[s] == 1`` marks an eliminated symbol whose occurrences are
     replaced by ``tails[s]``; otherwise ``s^moduli[s]`` rewrites to
-    ``tails[s]``.  The group order is the product of the moduli.
+    ``tails[s]``.  The group order is the product of the moduli.  Every
+    tail must lie on the symbols after its own, or the table is refused.
     """
 
     def __init__(self, basis: NilpotentBasis, relator_set: RelatorSet,
                  moduli: tuple[int, ...], tails: tuple[tuple[int, ...], ...]):
-        if len(moduli) != basis.size or len(tails) != basis.size:
+        if (len(moduli) != basis.size or len(tails) != basis.size
+                or any(len(t) != basis.size for t in tails)):
             raise QuotientError("rule table shape mismatch")
         self.basis = basis
         self.relator_set = relator_set
@@ -420,6 +353,11 @@ class FiniteQuotient:
         self.tails = tuple(tuple(int(e) for e in t) for t in tails)
         if any(m < 1 for m in self.moduli):
             raise QuotientError(f"moduli {self.moduli} must all be at least 1")
+        for s, tail in enumerate(self.tails):
+            if any(tail[:s + 1]):
+                name = basis.symbols[s].name
+                raise QuotientError(f"{self.label}: the tail of {name} has a "
+                                    f"coordinate on {name} or an earlier symbol")
         self.order = 1
         for m in self.moduli:
             self.order *= m
@@ -462,11 +400,35 @@ class FiniteQuotient:
     # -- reduction -----------------------------------------------------------
 
     def reduce(self, elem: FreeNilElement) -> PcElement:
+        """The normal form of ``elem``, in one pass down the symbols.
+
+        At symbol s with e_s outside [0, m_s), ``s^e_s`` is ``s^rem *
+        (s^m_s)^q`` and ``s^m_s`` is rewritten to its tail.  The tail power
+        and the letters after s lie on the later symbols, so collecting them
+        onto the prefix leaves coordinates <= s alone: each symbol is
+        settled once, and only members of the normal closure are dropped.
+        """
         if elem.basis is not self.basis:
             raise BasisError("element over the wrong basis")
-        out = _rewrite_fixpoint(self.basis, elem, self._rules.__getitem__,
-                                self._tailpow)
-        return PcElement(self, out.exponents)
+        vec = elem.exponents
+        for s, (m, tail) in enumerate(self._rules):
+            e = vec[s]
+            if 0 <= e < m:
+                continue
+            q, rem = divmod(e, m)
+            suffix = vec[s + 1:]
+            if tail.is_identity():
+                vec = vec[:s] + (rem,) + suffix
+                continue
+            letters = self._tailpow.get((s, q))
+            if letters is None:
+                letters = power(tail, q).letters()
+                if len(self._tailpow) < 4096:
+                    self._tailpow[s, q] = letters
+            letters = letters + [(t, k) for t, k in enumerate(suffix, s + 1) if k]
+            vec = _collect_onto(self.basis, vec[:s] + (rem,) + (0,) * len(suffix),
+                                letters)
+        return PcElement(self, vec)
 
     def reduce_letters(self, letters) -> PcElement:
         elem = FreeNilElement(self.basis, _collect_letters(self.basis, letters))
@@ -563,10 +525,6 @@ class FiniteQuotient:
         return f"FiniteQuotient({self.label}, order={self.order})"
 
 
-def reduce_element(q: FiniteQuotient, a: FreeNilElement) -> PcElement:
-    return q.reduce(a)
-
-
 def membership(q: FiniteQuotient, a: FreeNilElement) -> bool:
     return q.membership(a)
 
@@ -607,18 +565,20 @@ def consistency_check(q: FiniteQuotient) -> ConsistencyReport:
     law of a group of order n that is an image of F/N (see
     `_group_certificate`); `normal-forms` shows that index i of the tables
     is the normal form `decode(i)` (see `_normal_forms`).  Nothing is
-    sampled.
+    sampled.  A table that `lab.DenseGroup` refuses to build is recorded as
+    a failed `table-build`, not raised.
     """
     rep = ConsistencyReport(q.label, q.order)
+    rep.record("order-bound", *_order_bound(q))
     try:
-        rep.record("order-bound", *_order_bound(q))
         dense = q.dense
-        ok, detail = _group_certificate(q, dense)
-        rep.record("group-certificate", ok, detail)
-        if ok:
-            rep.record("normal-forms", *_normal_forms(q, dense))
     except QuotientError as ex:
-        rep.record("reduction-system", False, f"rewriting failed: {ex}")
+        rep.record("table-build", False, f"the dense tables were not built: {ex}")
+        return rep
+    ok, detail = _group_certificate(q, dense)
+    rep.record("group-certificate", ok, detail)
+    if ok:
+        rep.record("normal-forms", *_normal_forms(q, dense))
     return rep
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from .hall import BasisError, FreeNilElement, NilpotentBasis
 
-__all__ = ["TruncatedSeries", "magnus_embed", "series_multiply", "word_series",
-           "symbol_series"]
+__all__ = ["TruncatedSeries", "magnus_embed", "word_series", "symbol_series"]
 
 
 class TruncatedSeries:
@@ -132,7 +131,3 @@ def magnus_embed(a: FreeNilElement) -> TruncatedSeries:
     if a.basis.nilpotency_class > 3:
         raise BasisError("embedding supported for class <= 3 only")
     return word_series(a.basis, a.letters())
-
-
-def series_multiply(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    return s * t

@@ -9,7 +9,6 @@ from nilforge.hall import (
     GroupWord,
     IntMatrix,
     abelianization_matrix,
-    apply_endo,
     builtin_basis,
     collect,
     commutator,
@@ -20,7 +19,6 @@ from nilforge.hall import (
 from nilforge.series import (
     TruncatedSeries,
     magnus_embed,
-    series_multiply,
     symbol_series,
     word_series,
 )
@@ -88,7 +86,7 @@ def test_collect_rejects_bad_letters():
     with pytest.raises(BasisError):
         collect(F23, [(7, 1)])
     with pytest.raises(BasisError):
-        GroupWord.from_pairs([(0, 0)]).validate(F23)
+        GroupWord(((0, 0),)).validate(F23)
 
 
 def test_normal_form_idempotence():
@@ -145,16 +143,16 @@ def test_apply_endo_identity():
     rng = random.Random(1)
     for _ in range(50):
         a = rand_elem(rng, F23)
-        assert apply_endo([X, Y], a) == a
+        assert FreeEndomorphism([X, Y])(a) == a
 
 
 def test_apply_endo_inverts_y():
     # x -> x, y -> y^-1 sends [y,x] to [y,x]^-1 [y,x,y]
-    img = apply_endo([X, inverse(Y)], C)
+    img = FreeEndomorphism([X, inverse(Y)])(C)
     expected = F23.element((0, 0, -1, 0, 1))
-    assert magnus_embed(expected) == series_multiply(
-        magnus_embed(inverse(Y)).inverse() * magnus_embed(X).inverse(),
-        magnus_embed(inverse(Y)) * magnus_embed(X))
+    assert magnus_embed(expected) == (
+        magnus_embed(inverse(Y)).inverse() * magnus_embed(X).inverse()
+        * magnus_embed(inverse(Y)) * magnus_embed(X))
     assert img == expected
 
 
@@ -162,13 +160,13 @@ def test_apply_endo_scales_brackets_in_class_two():
     x, y, z = F32.gens()
     r = 3
     images = [power(x, r), power(y, r), power(z, r)]
-    img = apply_endo(images, F32.generator(3))
+    img = FreeEndomorphism(images)(F32.generator(3))
     assert img == power(F32.generator(3), r * r)
 
 
 def test_apply_endo_wrong_image_count():
     with pytest.raises(BasisError):
-        apply_endo([X], C)
+        FreeEndomorphism([X])(C)
 
 
 def test_apply_endo_multiplicative():
@@ -261,8 +259,7 @@ def test_series_multiplicative_on_embedding():
     rng = random.Random(17)
     for _ in range(100):
         a, b = rand_elem(rng, F23), rand_elem(rng, F23)
-        assert magnus_embed(multiply(a, b)) == series_multiply(
-            magnus_embed(a), magnus_embed(b))
+        assert magnus_embed(multiply(a, b)) == magnus_embed(a) * magnus_embed(b)
 
 
 @pytest.mark.parametrize("basis", [F23, F32], ids=["F23", "F32"])

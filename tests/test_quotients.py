@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nilforge import lab
-from nilforge.hall import builtin_basis, collect, inverse, multiply, power
+from nilforge.hall import FreeNilElement, builtin_basis, collect, inverse, multiply, power
 from nilforge.lab import DenseGroup
 from nilforge.quotients import (
     FiniteQuotient,
@@ -20,7 +20,6 @@ from nilforge.quotients import (
     consistency_check,
     make_quotient,
     membership,
-    reduce_element,
     standard_quotient,
     standard_relators,
 )
@@ -112,11 +111,11 @@ def test_dh_augmentation_conservative_at_r_one():
 
 def test_reduce_examples():
     q2 = standard_quotient("N_r", 5, 2)
-    assert reduce_element(q2, D).vector == (0, 0, 0, 1, 0)
-    assert reduce_element(q2, power(X, 10)).vector == (0, 0, 0, 1, 0)
-    assert reduce_element(q2, E).is_identity()
+    assert q2.reduce(D).vector == (0, 0, 0, 1, 0)
+    assert q2.reduce(power(X, 10)).vector == (0, 0, 0, 1, 0)
+    assert q2.reduce(E).is_identity()
     K = standard_quotient("K", 5)
-    assert reduce_element(K, power(X, 25)).is_identity()
+    assert K.reduce(power(X, 25)).is_identity()
 
 
 def test_membership_examples():
@@ -201,14 +200,16 @@ def test_independence_of_moduli_from_r():
 def test_reduce_powers_of_symbols_match_tables(kind, p, r):
     # every exponent around the rewrite boundaries -1, 0, m-1 and m of each
     # symbol, with m its modulus or p when it is eliminated: in N_r(5, 1)
-    # x^5 is rewritten to [y,x,x], and DH_M_r swaps [y,x] past z
+    # x^5 is rewritten to [y,x,x], and DH_M_r swaps [y,x] past z.  The
+    # exponents near +-10^30 are reduced exactly, with no bound on their size
     q = standard_quotient(kind, p, r)
     dense = q.dense
+    huge = [sign * 10 ** 30 + d for sign in (1, -1) for d in range(-2, 3)]
     for s in range(q.basis.size):
         m = q.moduli[s] if q.moduli[s] > 1 else p
         g = q.basis.generator(s)
         base = q.reduce(g).index()
-        for e in range(-2 * m - 1, 2 * m + 2):
+        for e in [*range(-2 * m - 1, 2 * m + 2), *huge]:
             assert q.reduce(power(g, e)).index() == dense.power(base, e), (s, e)
 
 
@@ -403,17 +404,20 @@ def test_consistency_detects_corruption():
     assert rep.failures()
 
 
-def test_consistency_reports_divergent_corruption():
+def test_consistency_reports_a_refused_table_build():
+    # [y,x] eliminated, and its rule corrupted after construction to
+    # [y,x] = y^-1, so conjugation by x sends y to 1: the builder's refusal
+    # must surface as a failed record, not an exception
     good = standard_quotient("N_r", 5, 2)
-    # a tail on earlier symbols whose powers regenerate [y,x,x] forever:
-    # the rewriting failure must surface as a diagnostic, not an exception
-    bad_tails = list(good.tails)
-    bad_tails[3] = (7, 0, 1, 0, 0)
-    bad = FiniteQuotient(good.basis, good.relator_set, good.moduli,
-                         tuple(bad_tails))
+    bad = FiniteQuotient(good.basis, good.relator_set, (5, 5, 1, 5, 1), good.tails)
+    bad._rules = (*bad._rules[:2], (1, FreeNilElement(bad.basis, (0, -1, 0, 0, 0))),
+                  *bad._rules[3:])
     rep = consistency_check(bad)
     assert not rep.passed
-    assert any("rewriting failed" in f for f in rep.failures())
+    checks = {name: (ok, detail) for name, ok, detail in rep.checks}
+    assert checks["table-build"] == (
+        False, "the dense tables were not built: "
+               "N_r(p=5,r=2): conjugation by x is not a permutation")
 
 
 def test_consistency_detects_non_bijective_left_translations():
@@ -555,6 +559,25 @@ def test_payload_rejects_modulus_below_one(modulus):
     payload["order"] = str(math.prod(payload["moduli"]))
     with pytest.raises(QuotientError, match="at least 1"):
         FiniteQuotient.from_payload(payload)
+
+
+@pytest.mark.parametrize("s,tail,name", [
+    (3, (7, 0, 1, 0, 0), "[y,x,x]"),  # its powers regenerate [y,x,x] forever
+    (1, (1, 0, 0, 0, 0), "y"),  # y^5 = x, off the subgroup <y, [y,x], ...>
+], ids=["divergent", "power-on-earlier-symbol"])
+def test_constructor_rejects_a_tail_on_an_earlier_symbol(s, tail, name):
+    good = standard_quotient("N_r", 5, 2)
+    message = (f"N_r(p=5,r=2): the tail of {name} has a coordinate on {name} "
+               "or an earlier symbol")
+    tails = list(good.tails)
+    tails[s] = tail
+    with pytest.raises(QuotientError) as direct:
+        FiniteQuotient(good.basis, good.relator_set, good.moduli, tuple(tails))
+    payload = good.to_payload()
+    payload["tails"][s] = list(tail)
+    with pytest.raises(QuotientError) as loaded:
+        FiniteQuotient.from_payload(payload)
+    assert str(direct.value) == str(loaded.value) == message
 
 
 def test_payload_round_trip():

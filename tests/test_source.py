@@ -68,8 +68,7 @@ def test_only_builtin_basis_is_memoized_by_value():
 # the code it checks.
 SCALAR_PATH = {
     "hall.py": {"_collect_letters", "_collect_onto"},
-    "quotients.py": {"_emit", "_rewrite_fixpoint", "_tail_power_letters",
-                     "FiniteQuotient.reduce", "FiniteQuotient.reduce_letters",
+    "quotients.py": {"FiniteQuotient.reduce", "FiniteQuotient.reduce_letters",
                      "FiniteQuotient.pc_multiply"},
 }
 ARRAY_ENGINE = {"DenseGroup", "dense", "_pc_rows", "np"}
@@ -102,6 +101,19 @@ def test_scalar_oracle_is_independent_of_the_array_engine():
     # collection in the free group has no array form to reach
     hall = next(path for path in SOURCES if path.name == "hall.py")
     assert "numpy" not in _imported(ast.parse(hall.read_text(), filename=str(hall)))
+
+
+def test_reduce_is_one_pass_with_no_cap():
+    # every tail lies on the later symbols (the constructor checks it), so
+    # one pass down the symbols reduces any element: nothing loops to a
+    # fixpoint, and no cap bounds such a loop
+    path = next(path for path in SOURCES if path.name == "quotients.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reduce = dict(_definitions(tree))["FiniteQuotient.reduce"]
+    assert not any(isinstance(node, ast.While) for node in ast.walk(reduce))
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    assert not any("CAP" in name for name in constants), constants
 
 
 def _imported(tree) -> set[str]:
