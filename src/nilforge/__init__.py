@@ -29,17 +29,12 @@ from .quotients import (
     RelatorSet,
     consistency_check,
     make_quotient,
-    membership,
     standard_quotient,
     standard_relators,
 )
 from .lab import (
     FrattiniMatrix,
-    Homomorphism,
     SeriesInvariants,
-    all_isomorphisms,
-    automorphism_count,
-    induced_frattini_matrix,
     is_isomorphic,
     isomorphism_det_scan,
     maximal_subgroups,
@@ -60,6 +55,7 @@ from .orbits import (
     psi_congruence_suite,
     psi_transports,
     sample_psi_params,
+    transports,
 )
 from .dh import (
     CharacteristicReport,

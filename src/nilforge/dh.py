@@ -9,7 +9,9 @@ classification of pairs (r, s) by searching every invertible 3x3 matrix
 over F_p whose monomial lift carries one relator family into the other.
 That search is `lab._transport_tuples` over the monomials x^a y^b z^c
 (0 <= a, b, c < p): it reads the relators from the r-family quotient, so
-it always certifies the family that `standard_relators` defines.
+it always certifies the family that `standard_relators` defines.  A
+witness it finds, and the scaling map, are re-checked in F by
+`orbits.transports`, apart from the tables.
 
 Candidate matrices stand in for arbitrary isomorphism lifts because central
 corrections cannot change any relator-image verdict: the center has
@@ -26,14 +28,16 @@ from itertools import product
 
 import numpy as np
 
+from .hall import power
 from .lab import (
     FrattiniMatrix,
-    Homomorphism,
     _column_dets,
+    _pc_weight1,
     _relator_masks,
     _transport_tuples,
     subgroup_functors,
 )
+from .orbits import transports
 from .quotients import FiniteQuotient, QuotientError
 
 __all__ = [
@@ -103,15 +107,27 @@ def verify_structure(q: FiniteQuotient) -> StructureReport:
 
 
 def scaling_isomorphism(src: FiniteQuotient, dst: FiniteQuotient,
-                        r: int) -> Homomorphism:
-    """The map sending each generator to its r-th power, as a verified
-    isomorphism from the r-family ``src`` onto the r = 1 quotient ``dst``."""
-    images = [dst.pc_power(dst.generator_image(j), r) for j in range(3)]
-    phi = Homomorphism(src, dst, images)  # relator transport checked here
-    if not phi.is_bijective():
+                        r: int) -> FrattiniMatrix:
+    """The Frattini matrix of x -> x^r, y -> y^r, z -> z^r from the
+    r-family ``src`` onto the r = 1 quotient ``dst``, verified to be an
+    isomorphism: the images transport the relators (`orbits.transports`),
+    the orders agree and the matrix is invertible.  Column j holds the
+    weight-1 exponents mod p of the reduced image of generator j."""
+    p = dst.prime
+    images = [power(g, r) for g in src.basis.gens()]
+    if not transports(images, src, dst):
+        raise DhContradiction(
+            f"scaling map for (p,r)=({src.prime},{r}) does not transport "
+            "the relators")
+    src_w1, dst_w1 = _pc_weight1(src), _pc_weight1(dst)
+    cols = [dst.reduce(images[s]).vector for s in src_w1]
+    mat = FrattiniMatrix(p, tuple(tuple(col[t] % p for col in cols)
+                                  for t in dst_w1))
+    if (src.order != dst.order or len(src_w1) != len(dst_w1)
+            or not mat.invertible):
         raise DhContradiction(
             f"scaling map for (p,r)=({src.prime},{r}) is not bijective")
-    return phi
+    return mat
 
 
 def cubic_condition(p: int, r: int) -> bool:
@@ -121,8 +137,10 @@ def cubic_condition(p: int, r: int) -> bool:
 
 
 def find_valid_r(p: int) -> int | None:
-    """Least unit r with r^3 not +-1 mod p, when one exists (it never does
-    for p in {2, 3, 7}, where cubing is a bijection onto +-1-free images)."""
+    """Least unit r with r^3 not +-1 mod p, when one exists.  None exists
+    at p = 2 and 3, whose only units are +-1, nor at p = 7: the unit group
+    is cyclic of order 6 = 3 * 2, so the cubes form its subgroup of order 2,
+    which is {+-1}."""
     for r in range(1, p):
         if cubic_condition(p, r):
             return r
@@ -161,15 +179,6 @@ def matrix_lift_search(source: FiniteQuotient, target: FiniteQuotient
             images = tuple(map(tuple, col3))
             out.append(MatrixLiftCandidate(p, tuple(zip(*images)), det, images))
     return out
-
-
-def candidate_transports(cand: MatrixLiftCandidate, source: FiniteQuotient,
-                         target: FiniteQuotient) -> bool:
-    """Directly re-check one candidate: every relator of ``source`` maps
-    into ``target`` under the monomial lift."""
-    return bool(_relator_masks(source.basis, source.relator_set.relators,
-                               target.dense,
-                               _lift_indices(target, cand.images)).all())
 
 
 def central_correction_invariance(source: FiniteQuotient,
@@ -250,7 +259,11 @@ def dh_orbit_decision(p: int, r: int, s: int, source: FiniteQuotient,
                 f"no det +-1 witness for the equivalent pair "
                 f"(p,r,s)=({p},{r},{s})")
         witness = hits[0]
-        if not candidate_transports(witness, source, target):
+        # re-checked in F, independently of the table engine that found it
+        basis = source.basis
+        lift = [basis.element(col + (0,) * (basis.size - len(col)))
+                for col in witness.images]
+        if not transports(lift, source, target):
             raise DhContradiction("witness failed direct re-verification")
         return DhOrbitCertificate(p, r, s, True, witness, len(hits), True)
     t = (r * pow(s, p - 2, p)) % p

@@ -40,21 +40,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hall import FreeNilElement, _det
+from .hall import _det
 from .quotients import FiniteQuotient, PcElement, QuotientError
 
 __all__ = [
     "DenseGroup",
-    "Homomorphism",
     "FrattiniMatrix",
     "subgroup_functors",
     "series_invariants",
     "SeriesInvariants",
     "maximal_subgroups",
-    "all_isomorphisms",
     "is_isomorphic",
-    "automorphism_count",
-    "induced_frattini_matrix",
     "IsoScanSummary",
     "isomorphism_det_scan",
 ]
@@ -434,88 +430,8 @@ class FrattiniMatrix:
             for i in range(n)))
 
 
-class Homomorphism:
-    """A homomorphism between finite quotients, given by the images of the
-    ambient weight-1 generators.  Construction verifies that the source's
-    relators die in the target."""
-
-    def __init__(self, source: FiniteQuotient, target: FiniteQuotient,
-                 images: Sequence[PcElement], _verified: bool = False):
-        if len(images) != source.basis.rank:
-            raise QuotientError("one image per ambient generator required")
-        for im in images:
-            if im.quotient is not target:
-                raise QuotientError("image living in the wrong quotient")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        if not _verified:
-            for rel in source.relator_set.relators:
-                if not self.apply_free(rel).is_identity():
-                    raise QuotientError(
-                        f"images do not kill the relator {rel!r}")
-
-    def symbol_images(self) -> list[PcElement]:
-        basis = self.source.basis
-        out = list(self.images)
-        for i in range(basis.rank, basis.size):
-            hi, lo = basis.symbols[i].bracket
-            out.append(self.target.pc_commutator(out[hi], out[lo]))
-        return out
-
-    def apply_free(self, elem: FreeNilElement) -> PcElement:
-        """Image of an ambient free element."""
-        syms = self.symbol_images()
-        acc = self.target.identity
-        for s, e in elem.letters():
-            acc = acc * self.target.pc_power(syms[s], e)
-        return acc
-
-    def __call__(self, g: PcElement) -> PcElement:
-        if g.quotient is not self.source:
-            raise QuotientError("argument from the wrong quotient")
-        return self.apply_free(g.lift())
-
-    def compose(self, other: "Homomorphism") -> "Homomorphism":
-        """self after other."""
-        if other.target is not self.source:
-            raise QuotientError("composition mismatch")
-        return Homomorphism(other.source, self.target,
-                            tuple(self(im) for im in other.images))
-
-    def is_bijective(self) -> bool:
-        if self.source.order != self.target.order:
-            return False
-        mat = induced_frattini_matrix(self)
-        return mat.invertible
-
-    def __repr__(self) -> str:
-        ims = ", ".join(repr(im) for im in self.images)
-        return f"Homomorphism({self.source.label} -> {self.target.label}; {ims})"
-
-
 def _pc_weight1(q: FiniteQuotient) -> list[int]:
     return [s for s in q.pc_symbols if s < q.basis.rank]
-
-
-def induced_frattini_matrix(phi: Homomorphism) -> FrattiniMatrix:
-    """Matrix of the induced map on Frattini quotients; column j carries the
-    coordinates of the image of the j-th surviving weight-1 generator.
-    Coordinates are read off canonical representatives directly (the kernel
-    of that projection is validated against the computed Frattini subgroup
-    in `DenseGroup.coords`)."""
-    src_w1 = _pc_weight1(phi.source)
-    tgt_w1 = _pc_weight1(phi.target)
-    d = len(src_w1)
-    if d != len(tgt_w1):
-        raise QuotientError("generator ranks differ")
-    p = phi.target.prime
-    cols = []
-    for s in src_w1:
-        im = phi.images[s]
-        cols.append([im.vector[t] % p for t in tgt_w1])
-    entries = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return FrattiniMatrix(p, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +546,7 @@ def _isomorphism_chunks(G: FiniteQuotient, H: FiniteQuotient,
     equal).  The eliminated weight-1 generators need not be looked at:
     each one's substitution is a consequence of the relators, so once the
     relators die its image lies in the span of the other images modulo
-    Phi(H).  The test is therefore det != 0 mod p, as in
-    `Homomorphism.is_bijective`.
+    Phi(H).  The test is therefore det != 0 mod p.
     """
     dH = H.dense
     w1 = _pc_weight1(G)
@@ -642,32 +557,12 @@ def _isomorphism_chunks(G: FiniteQuotient, H: FiniteQuotient,
         yield tup[keep], dets[keep]
 
 
-def all_isomorphisms(G: FiniteQuotient, H: FiniteQuotient) -> Iterator[Homomorphism]:
-    """All isomorphisms G -> H as generator-image tuples, in lexicographic
-    order of target element indices.
-
-    Candidates are pruned by element order (images must match the orders of
-    the generator images in G); the relator check then decides exactly, and
-    the Frattini determinant decides bijectivity.
-    """
-    cands = _image_candidates(G, H)
-    if cands is None:
-        return
-    dH = H.dense
-    for tup, _dets in _isomorphism_chunks(G, H, cands):
-        for row in tup:
-            yield Homomorphism(G, H, [dH.element(i) for i in row],
-                               _verified=True)
-
-
 def is_isomorphic(G: FiniteQuotient, H: FiniteQuotient) -> bool:
-    for _phi in all_isomorphisms(G, H):
-        return True
-    return False
-
-
-def automorphism_count(G: FiniteQuotient) -> int:
-    return sum(1 for _ in all_isomorphisms(G, G))
+    """Whether some generator-image tuple is an isomorphism G -> H; the
+    scan stops at the first chunk that holds one."""
+    cands = _image_candidates(G, H)
+    return cands is not None and any(
+        len(tup) for tup, _dets in _isomorphism_chunks(G, H, cands))
 
 
 @dataclass(frozen=True)
@@ -679,9 +574,8 @@ class IsoScanSummary:
 
 def isomorphism_det_scan(G: FiniteQuotient, H: FiniteQuotient) -> IsoScanSummary:
     """Exhaustive isomorphism scan that only accumulates the determinant
-    residues of the induced Frattini matrices.  Same enumeration as
-    `all_isomorphisms`; every tuple of order-matching candidates counts as
-    checked."""
+    residues of the induced Frattini matrices, over `_isomorphism_chunks`;
+    every tuple of order-matching candidates counts as checked."""
     cands = _image_candidates(G, H)
     if cands is None:
         return IsoScanSummary(0, 0, ())

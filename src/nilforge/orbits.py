@@ -23,6 +23,11 @@ independent test oracle.
 `orbit_witness` then classifies pairs (r, s): for r = +-s it produces a
 verified automorphism witness, and otherwise it certifies inequivalence by
 an exhaustive isomorphism scan whose induced determinants all avoid +-1.
+
+A map of F is its generator images in F.  `transports` is the one symbolic
+check that such a map carries one relator family into another; it verifies
+the witnesses of `orbit_witness` and `dh.dh_orbit_decision`, the scaling
+map of `dh.scaling_isomorphism`, and `psi_transports`.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "psi_congruence_suite",
     "membership_criterion",
     "psi_transports",
+    "transports",
     "PsiBatch",
     "lifts_to_aut",
     "invert_endomorphism",
@@ -167,12 +173,19 @@ def membership_criterion(p: int, r: int, s: int, params: PsiParams) -> bool:
     return (params.i * params.k * s - r) % p == 0
 
 
+def transports(images, src: FiniteQuotient, dst: FiniteQuotient) -> bool:
+    """Whether the endomorphism of F with generator images ``images`` (free
+    elements) carries every relator of ``src`` into the relator subgroup of
+    ``dst``: the image is collected in F and reduced into ``dst``.  This is
+    the one symbolic transport check; the table searches never call it."""
+    endo = FreeEndomorphism(images)
+    return all(dst.membership(endo(rel)) for rel in src.relator_set.relators)
+
+
 def psi_transports(src: FiniteQuotient, dst: FiniteQuotient,
                    params: PsiParams) -> bool:
-    """Ground truth for `membership_criterion`: apply the endomorphism to
-    every relator of the ``src`` family and test membership in ``dst``."""
-    psi = psi_endomorphism(params)
-    return all(dst.membership(psi(rel)) for rel in src.relator_set.relators)
+    """Ground truth for `membership_criterion` (`transports`)."""
+    return transports(psi_endomorphism(params).images, src, dst)
 
 
 def _psi_letters(params: PsiParams) -> tuple[list, list]:
@@ -402,11 +415,6 @@ class OrbitCertificate:
         }
 
 
-def _endo_transports(images, src: FiniteQuotient, dst: FiniteQuotient) -> bool:
-    endo = FreeEndomorphism(images)
-    return all(dst.membership(endo(rel)) for rel in src.relator_set.relators)
-
-
 def orbit_witness(p: int, r: int, s: int, Gr: FiniteQuotient,
                   Gs: FiniteQuotient) -> OrbitCertificate:
     """Constructive certificate for (r, s) on Gr = F/N_r and Gs = F/N_s.
@@ -438,8 +446,8 @@ def orbit_witness(p: int, r: int, s: int, Gr: FiniteQuotient,
     basis = builtin_basis("F23")
     x, y = basis.gens()
     images = (x, y) if (r - s) % p == 0 else (x, inverse(y))
-    forward = _endo_transports(images, Gr, Gs)
-    backward = _endo_transports(images, Gs, Gr)  # both witnesses are involutions
+    forward = transports(images, Gr, Gs)
+    backward = transports(images, Gs, Gr)  # both witnesses are involutions
     if not (forward and backward):
         raise OrbitContradiction(
             f"canonical witness failed verification for (p,r,s)=({p},{r},{s})")

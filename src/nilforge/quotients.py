@@ -57,7 +57,6 @@ __all__ = [
     "standard_relators",
     "make_quotient",
     "standard_quotient",
-    "membership",
     "consistency_check",
     "ConsistencyReport",
     "is_prime",
@@ -469,11 +468,6 @@ class FiniteQuotient:
                 base = self.pc_multiply(base, base)
         return result
 
-    def pc_commutator(self, a: PcElement, b: PcElement) -> PcElement:
-        ai = [(s, -e) for s, e in reversed(a.letters())]
-        bi = [(s, -e) for s, e in reversed(b.letters())]
-        return self.reduce_letters(ai + bi + a.letters() + b.letters())
-
     def generator_image(self, s: int) -> PcElement:
         return self.reduce(self.basis.generator(s))
 
@@ -523,10 +517,6 @@ class FiniteQuotient:
 
     def __repr__(self) -> str:
         return f"FiniteQuotient({self.label}, order={self.order})"
-
-
-def membership(q: FiniteQuotient, a: FreeNilElement) -> bool:
-    return q.membership(a)
 
 
 def standard_quotient(kind: str, p: int, r: int | None = None) -> FiniteQuotient:

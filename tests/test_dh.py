@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from nilforge import dh
 from nilforge.dh import (
+    DhContradiction,
     central_correction_invariance,
     characteristic_check,
     cubic_condition,
@@ -13,8 +15,8 @@ from nilforge.dh import (
     verify_structure,
 )
 from nilforge.hall import builtin_basis, multiply, power
-from nilforge.lab import FrattiniMatrix, induced_frattini_matrix
-from nilforge.orbits import _endo_transports
+from nilforge.lab import FrattiniMatrix
+from nilforge.orbits import transports
 from nilforge.quotients import QuotientError, standard_quotient
 
 SHEAR = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
@@ -60,21 +62,26 @@ def test_structure_p7():
 # -- scaling map --------------------------------------------------------------------
 
 def test_scaling_5_2():
-    phi = scaling(5, 2)
-    m = induced_frattini_matrix(phi)
+    m = scaling(5, 2)
     assert m.entries == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
     assert m.det == 3  # 8 mod 5
 
 
 def test_scaling_identity():
-    m = induced_frattini_matrix(scaling(5, 1))
+    m = scaling(5, 1)
     assert m.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_scaling_7_3():
     # 27 = -1 mod 7: the determinant argument cannot separate this prime
-    m = induced_frattini_matrix(scaling(7, 3))
+    m = scaling(7, 3)
     assert m.det == 6
+
+
+def test_scaling_refuses_a_map_that_does_not_transport():
+    # the identity does not carry the 2-family into the 1-family
+    with pytest.raises(DhContradiction, match="does not transport"):
+        scaling_isomorphism(dh_q(5, 2), dh_q(5, 1), 1)
 
 
 # -- cubic condition ------------------------------------------------------------------
@@ -126,7 +133,7 @@ def test_search_agrees_with_symbolic_oracle(r, s):
     dst = dh_q(5, s)
     hits = matrix_lift_search(src, dst)
     assert hits
-    assert all(_endo_transports(lift(c.images), src, dst) for c in hits)
+    assert all(transports(lift(c.images), src, dst) for c in hits)
     hit_cols = {c.images for c in hits}
     rng = random.Random(r * 10 + s)
     misses = 0
@@ -134,7 +141,7 @@ def test_search_agrees_with_symbolic_oracle(r, s):
         cols = tuple(tuple(rng.randrange(5) for _ in range(3)) for _ in range(3))
         if cols in hit_cols or not FrattiniMatrix(5, tuple(zip(*cols))).invertible:
             continue
-        assert not _endo_transports(lift(cols), src, dst)
+        assert not transports(lift(cols), src, dst)
         misses += 1
 
 
@@ -177,6 +184,15 @@ def test_dh_orbit_reflexive_identity_witness():
     cert = decision(5, 3, 3)
     assert cert.equivalent
     assert cert.witness.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_dh_orbit_witness_rechecked_in_F(monkeypatch):
+    # the witness found on the tables is re-checked by the symbolic
+    # transport check, and a refusal there fails the decision
+    monkeypatch.setattr(dh, "transports", lambda images, src, dst: False)
+    with pytest.raises(DhContradiction,
+                       match="witness failed direct re-verification"):
+        decision(5, 1, 1)
 
 
 def test_dh_orbit_grid_at_five():

@@ -8,20 +8,17 @@ import pytest
 
 from nilforge import lab
 from nilforge.dh import matrix_lift_search
-from nilforge.hall import builtin_basis, power
+from nilforge.hall import FreeEndomorphism, builtin_basis, power
 from nilforge.lab import (
     FrattiniMatrix,
-    Homomorphism,
     IsoScanSummary,
-    all_isomorphisms,
-    automorphism_count,
-    induced_frattini_matrix,
     is_isomorphic,
     isomorphism_det_scan,
     maximal_subgroups,
     series_invariants,
     subgroup_functors,
 )
+from nilforge.orbits import transports
 from nilforge.quotients import (
     FiniteQuotient,
     QuotientError,
@@ -212,6 +209,32 @@ def test_maximal_subgroups_elementary_abelian():
 
 # -- isomorphism search ------------------------------------------------------------
 
+def _iso_tuples(G, H):
+    """The isomorphisms G -> H as generator-image index tuples, in the
+    search's order (`lab._isomorphism_chunks`)."""
+    cands = lab._image_candidates(G, H)
+    if cands is None:
+        return []
+    return [tuple(row) for tup, _dets in lab._isomorphism_chunks(G, H, cands)
+            for row in tup.tolist()]
+
+
+def _lift(H, tup):
+    """Free-group lifts of the elements of H with indices tup."""
+    return [H.dense.element(i).lift() for i in tup]
+
+
+def _frattini_matrix(G, H, images):
+    """The induced matrix on the Frattini quotients of the map G -> H with
+    free-group generator images: column j holds the weight-1 exponents mod p
+    of the image of the j-th surviving weight-1 generator of G, reduced into
+    H by symbolic collection."""
+    p = H.prime
+    cols = [H.reduce(images[s]).vector for s in lab._pc_weight1(G)]
+    return FrattiniMatrix(p, tuple(tuple(c[t] % p for c in cols)
+                                   for t in lab._pc_weight1(H)))
+
+
 def test_quotients_isomorphic_across_r():
     q1 = standard_quotient("N_r", 5, 1)
     q2 = standard_quotient("N_r", 5, 2)
@@ -222,76 +245,76 @@ def test_quotients_isomorphic_across_r():
 
 def test_identity_tuple_is_enumerated():
     q = standard_quotient("N_r", 5, 1)
-    gen_images = tuple(q.generator_image(j) for j in range(2))
-    assert any(phi.images == gen_images for phi in all_isomorphisms(q, q))
+    assert tuple(q.dense.gen_indices()) in _iso_tuples(q, q)
 
 
 def test_distinct_abelian_groups_not_isomorphic():
     assert not is_isomorphic(fixture_c25(), fixture_c5xc5())
-    assert list(all_isomorphisms(fixture_c25(), fixture_c5xc5())) == []
+    assert _iso_tuples(fixture_c25(), fixture_c5xc5()) == []
 
 
 def test_order_mismatch_short_circuits():
-    assert list(all_isomorphisms(fixture_c5(), fixture_c25())) == []
+    assert lab._image_candidates(fixture_c5(), fixture_c25()) is None
+    assert not is_isomorphic(fixture_c5(), fixture_c25())
 
 
 def test_search_bound_enforced():
     with pytest.raises(QuotientError):
-        list(all_isomorphisms(standard_quotient("K", 7),
-                              standard_quotient("K", 7)))
+        is_isomorphic(standard_quotient("K", 7), standard_quotient("K", 7))
 
 
 def test_automorphism_count_cyclic():
-    assert automorphism_count(fixture_c5()) == 4
+    assert isomorphism_det_scan(fixture_c5(), fixture_c5()).isomorphisms_found == 4
 
 
 def test_automorphism_count_frozen_and_r_invariant():
     # exhaustive enumeration is the oracle; 12500 = (p-1) p^5 at p = 5
-    counts = {r: automorphism_count(standard_quotient("N_r", 5, r))
-              for r in range(1, 5)}
-    assert set(counts.values()) == {12500}
+    counts = {isomorphism_det_scan(q, q).isomorphisms_found
+              for q in (standard_quotient("N_r", 5, r) for r in range(1, 5))}
+    assert counts == {12500}
 
 
 def test_enumeration_deterministic_order():
     q = standard_quotient("N_r", 5, 1)
-    first = [phi.images for phi in all_isomorphisms(q, q)]
-    second = [phi.images for phi in all_isomorphisms(q, q)]
-    assert first == second
-    idx_pairs = [(im[0].index(), im[1].index()) for im in first]
-    assert idx_pairs == sorted(idx_pairs)
+    first = _iso_tuples(q, q)
+    assert first == _iso_tuples(q, q)
+    assert first == sorted(first)
 
 
-# -- homomorphisms and Frattini matrices -----------------------------------------------
+# -- generator images and Frattini matrices -------------------------------------------
 
-def test_homomorphism_constructor_verifies():
+def test_transports_verifies_generator_images():
     q1 = standard_quotient("N_r", 5, 1)
     q2 = standard_quotient("N_r", 5, 2)
-    x_img = q2.generator_image(0)
-    y_img = q2.generator_image(1)
-    with pytest.raises(QuotientError):
-        Homomorphism(q1, q2, (x_img, y_img))  # identity does not transport 1 -> 2
+    assert not transports([X, Y], q1, q2)  # identity does not transport 1 -> 2
     # but x -> x, y -> y^3 does (1*3*2 = 6 = 1 mod 5)
-    phi = Homomorphism(q1, q2, (x_img, y_img ** 3))
-    assert phi.is_bijective()
-    assert induced_frattini_matrix(phi).entries == ((1, 0), (0, 3))
+    images = [X, power(Y, 3)]
+    assert transports(images, q1, q2)
+    m = _frattini_matrix(q1, q2, images)
+    assert m.entries == ((1, 0), (0, 3))
+    assert m.invertible
 
 
 def test_identity_automorphism_matrix():
     q = standard_quotient("N_r", 5, 1)
-    phi = Homomorphism(q, q, tuple(q.generator_image(j) for j in range(2)))
-    m = induced_frattini_matrix(phi)
+    assert transports([X, Y], q, q)
+    m = _frattini_matrix(q, q, [X, Y])
     assert m.entries == ((1, 0), (0, 1))
     assert m.det == 1 and m.invertible
 
 
 def test_frattini_matrix_functorial():
+    # the lifts of two automorphisms compose in F to a lift of their
+    # composite, whose matrix is the product of theirs
     q = standard_quotient("N_r", 5, 2)
     rng = random.Random(12)
-    auts = list(all_isomorphisms(q, q))
+    auts = _iso_tuples(q, q)
     for _ in range(25):
-        f, g = rng.choice(auts), rng.choice(auts)
-        assert (induced_frattini_matrix(f) * induced_frattini_matrix(g)
-                == induced_frattini_matrix(f.compose(g)))
+        f, g = (FreeEndomorphism(_lift(q, rng.choice(auts))) for _ in range(2))
+        fg = f.compose(g)
+        assert transports(fg.images, q, q)
+        assert (_frattini_matrix(q, q, f.images) * _frattini_matrix(q, q, g.images)
+                == _frattini_matrix(q, q, fg.images))
 
 
 def test_frattini_matrix_det_formula():
@@ -318,46 +341,49 @@ def test_det_residue_matches_rs_ratio():
 def test_all_isomorphisms_are_lower_triangular():
     # the proof-side restriction to maps preserving the abelian maximal
     # subgroup emerges from the search: every isomorphism found has an
-    # upper-right Frattini entry of zero
+    # upper-right Frattini entry of zero, the x-exponent of the image of y
     q1 = standard_quotient("N_r", 5, 1)
     q2 = standard_quotient("N_r", 5, 2)
-    for phi in all_isomorphisms(q1, q2):
-        assert induced_frattini_matrix(phi).entries[0][1] == 0
+    tuples = _iso_tuples(q1, q2)
+    assert tuples
+    for _x_img, y_img in tuples:
+        assert q2.dense.element(y_img).vector[0] % 5 == 0
 
 
-def test_det_scan_matches_object_path():
+def test_det_scan_matches_enumeration():
     q1 = standard_quotient("N_r", 5, 1)
     q2 = standard_quotient("N_r", 5, 3)
     scan = isomorphism_det_scan(q1, q2)
-    objs = list(all_isomorphisms(q1, q2))
-    assert scan.isomorphisms_found == len(objs)
+    tuples = _iso_tuples(q1, q2)
+    assert scan.isomorphisms_found == len(tuples)
     assert set(scan.det_residues) == {
-        induced_frattini_matrix(phi).det for phi in objs}
+        _frattini_matrix(q1, q2, _lift(q2, tup)).det for tup in tuples}
 
 
 def test_isomorphisms_agree_with_symbolic_oracle():
-    # checked without the dense relator evaluation: the symbolic relator
-    # check of Homomorphism accepts what the search found and rejects a
-    # seeded sample of the order-matching tuples it left out
+    # checked without the dense relator evaluation: the symbolic check
+    # `transports`, on free-group lifts, accepts what the search found with
+    # an invertible Frattini matrix, and rejects a seeded sample of the
+    # order-matching tuples it left out
     G = standard_quotient("N_r", 5, 1)
     H = standard_quotient("N_r", 5, 2)
     dG, dH = G.dense, H.dense
     cands = [np.flatnonzero(dH.orders == dG.orders[g]) for g in dG.gen_indices()]
-    found = {tuple(im.index() for im in phi.images)
-             for phi in all_isomorphisms(G, H)}
+    found = set(_iso_tuples(G, H))
     first = set(cands[0][:3].tolist())
     chosen = [tup for tup in found if tup[0] in first]
     assert chosen
     for tup in chosen:
-        assert Homomorphism(G, H, [dH.element(i) for i in tup]).is_bijective()
+        images = _lift(H, tup)
+        assert transports(images, G, H)
+        assert _frattini_matrix(G, H, images).invertible
     rng = random.Random(5)
     rejected = 0
     while rejected < 50:
         tup = tuple(int(c[rng.randrange(c.size)]) for c in cands)
         if tup in found:
             continue
-        with pytest.raises(QuotientError):
-            Homomorphism(G, H, [dH.element(i) for i in tup])
+        assert not transports(_lift(H, tup), G, H)
         rejected += 1
 
 
@@ -366,13 +392,9 @@ def test_search_output_independent_of_grid(monkeypatch, grid):
     q = standard_quotient("N_r", 5, 1)
     m1 = standard_quotient("DH_M_r", 5, 1)
     m2 = standard_quotient("DH_M_r", 5, 2)
-    expected = ([tuple(im.index() for im in phi.images)
-                 for phi in all_isomorphisms(q, q)],
-                matrix_lift_search(m2, m1))
+    expected = (_iso_tuples(q, q), matrix_lift_search(m2, m1))
     monkeypatch.setattr(lab, "_GRID", grid)
-    assert ([tuple(im.index() for im in phi.images)
-             for phi in all_isomorphisms(q, q)],
-            matrix_lift_search(m2, m1)) == expected
+    assert (_iso_tuples(q, q), matrix_lift_search(m2, m1)) == expected
 
 
 def test_det_scan_memory_is_bounded():
@@ -397,16 +419,3 @@ def test_det_scan_counts_scanned_tuples_off_rank_two():
         F32.generator(3), F32.generator(4), F32.generator(5)), "C2^3"))
     assert q.order == 8
     assert isomorphism_det_scan(q, q) == IsoScanSummary(343, 168, (1,))
-
-
-def test_homomorphism_apply_and_compose():
-    q1 = standard_quotient("N_r", 5, 1)
-    q2 = standard_quotient("N_r", 5, 2)
-    phi = next(iter(all_isomorphisms(q1, q2)))
-    back = next(iter(all_isomorphisms(q2, q1)))
-    comp = back.compose(phi)
-    rng = random.Random(3)
-    for _ in range(40):
-        g = q1.element([rng.randrange(25), rng.randrange(5),
-                        rng.randrange(5), 0, 0])
-        assert comp(g) == back(phi(g))

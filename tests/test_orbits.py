@@ -8,6 +8,7 @@ from nilforge.campaigns import run_theorem_campaign
 from nilforge.hall import builtin_basis, collect, multiply, power
 from nilforge.orbits import (
     HypothesisNotMet,
+    OrbitContradiction,
     PsiBatch,
     PsiParams,
     invert_endomorphism,
@@ -262,6 +263,12 @@ def test_witness_negation_pair():
     endo = FreeEndomorphism(images)
     assert all(q3.membership(endo(rel)) for rel in q2.relator_set.relators)
     assert all(q2.membership(endo(rel)) for rel in q3.relator_set.relators)
+
+
+def test_witness_refused_by_the_transport_check(monkeypatch):
+    monkeypatch.setattr(orbits, "transports", lambda images, src, dst: False)
+    with pytest.raises(OrbitContradiction, match="canonical witness failed"):
+        witness(5, 1, 4)
 
 
 def test_witness_inequivalent_scan():
