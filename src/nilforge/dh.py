@@ -213,18 +213,6 @@ class DhOrbitCertificate:
     certified: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "r": self.r, "s": self.s,
-            "equivalent": self.equivalent,
-            "witness_matrix": (list(map(list, self.witness.matrix))
-                               if self.witness else None),
-            "witness_det": self.witness.det_residue if self.witness else None,
-            "pm1_candidates": self.pm1_candidates,
-            "certified": self.certified,
-            "note": self.note,
-        }
-
 
 def dh_orbit_decision(p: int, r: int, s: int, source: FiniteQuotient,
                       target: FiniteQuotient,

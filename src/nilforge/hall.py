@@ -239,9 +239,6 @@ class GroupWord:
                 raise BasisError("letters must carry nonzero exponents")
 
 
-_COLLECT_GUARD = 4_000_000
-
-
 def _collect_letters(basis: NilpotentBasis, letters) -> tuple[int, ...]:
     return _collect_onto(basis, basis.identity.exponents, letters)
 
@@ -256,6 +253,11 @@ def _collect_onto(basis: NilpotentBasis, start: tuple[int, ...],
     conjugated by ``s^e``, pushed back as ``t^k T^(e*k) U^(C(e,2)*k)
     V^(C(k,2)*e)`` ahead of the remaining letters.  Central exponents stay
     in place: they commute with every letter.
+
+    The loop ends by construction.  The letters pushed back for ``s^e`` lie
+    on symbols after s (a weight-ordered basis of class at most 3), and the
+    stack runs them before anything beneath, so by induction down from the
+    last symbol each letter, with all it pushes, takes finitely many steps.
     """
     exps = list(start)
     rows = basis._left_rows
@@ -265,7 +267,6 @@ def _collect_onto(basis: NilpotentBasis, start: tuple[int, ...],
         hi -= 1
     stack = list(letters)
     stack.reverse()
-    steps = 0
     while stack:
         s, e = stack.pop()
         if s >= hi:
@@ -273,9 +274,6 @@ def _collect_onto(basis: NilpotentBasis, start: tuple[int, ...],
             if s < top:
                 hi = s
             continue
-        steps += 1
-        if steps > _COLLECT_GUARD:  # pragma: no cover - safety net
-            raise RuntimeError("collection failed to terminate")
         moved = []
         for t, T, U, V in rows[s]:
             k = exps[t]

@@ -23,8 +23,9 @@ Frattini determinants here, the monomial lifts in `dh` - runs through one
 engine, `_transport_tuples`: it reads the relators from the source
 quotient, checks each one as soon as the generators it mentions have
 images, and evaluates them on bounded grids with `_relator_masks`.  Its
-word evaluator `_word_values` also runs the batched psi checks of
-`orbits.PsiBatch`.
+word evaluator `_word_values` is the one evaluator of words on the tables:
+it also runs the batched psi checks of `orbits.PsiBatch` and evaluates the
+relators and pc symbol images of the consistency proof.
 Bijectivity is one determinant routine, `hall._det`, over entry arrays.
 Enumeration output is deterministic: candidate tuples come out in
 lexicographic index order, so results do not depend on chunking.
@@ -129,8 +130,9 @@ class DenseGroup:
     Handbook of Computational Group Theory, ch. 8).  The tables hold one
     ``(p, n)`` int32 slab per digit t, whose row e sends index a to the
     index of ``a * g_t^e``; `mult` walks the digits with flat gathers.
-    `_strides`, `_moduli` and `_exps` are per digit, in pc order and, within
-    a symbol, lowest digit first.  The row of each pc symbol comes from
+    `slabs`, `_strides` and `_offsets` are per digit, in pc order and,
+    within a symbol, lowest digit first; digit t of index i is
+    ``i // _strides[t] % p``.  The row of each pc symbol comes from
     `_pc_rows`.
     """
 
@@ -142,7 +144,6 @@ class DenseGroup:
             raise QuotientError(
                 f"{quotient.label}: order {n} overflows int32 tables")
         self.pc_syms = quotient.pc_symbols
-        idx = np.arange(n, dtype=np.int64)
         # the builder's temporaries die with it, before any slab is allocated
         rows = _pc_rows(quotient)
         self._strides: list[int] = []
@@ -156,10 +157,10 @@ class DenseGroup:
                 row = row[tab[-1]]
                 st *= p
                 m //= p
-        self._moduli = [p] * len(self.slabs)
-        self._exps = [((idx // st) % p).astype(np.int32) for st in self._strides]
         # digit * n: where that digit's row starts in its flattened slab
-        self._offsets = [e * n for e in self._exps]
+        idx = np.arange(n, dtype=np.int64)
+        self._offsets = [(idx // st % p * n).astype(np.int32)
+                         for st in self._strides]
 
     # -- arithmetic ------------------------------------------------------------
 

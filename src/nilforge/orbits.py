@@ -282,21 +282,6 @@ class PsiBatch:
         return ok
 
 
-def _solve_unimodular(cols: list[list[int]], rhs: list[int]) -> list[int]:
-    """Solve M v = rhs exactly for integer M with det +-1 (columns given)."""
-    n = len(rhs)
-    m = [[cols[j][i] for j in range(n)] for i in range(n)]
-    dm = _det(m)
-    if dm not in (1, -1):
-        raise QuotientError(f"restriction matrix has determinant {dm}, not a unit")
-    sol = []
-    for j in range(n):
-        mj = [[rhs[i] if jj == j else m[i][jj] for jj in range(n)]
-              for i in range(n)]
-        sol.append(_det(mj) // dm)
-    return sol
-
-
 def invert_endomorphism(psi: FreeEndomorphism) -> FreeEndomorphism:
     """Exact inverse of an automorphism of the free group, solved weight by
     weight: invert the induced integer matrix on the abelianization, then
@@ -316,10 +301,15 @@ def invert_endomorphism(psi: FreeEndomorphism) -> FreeEndomorphism:
         first_images.append(collect(basis, letters))
     psi0 = FreeEndomorphism(tuple(first_images))
 
-    # gamma_2 coordinates of the images of the higher symbols
+    # gamma_2 coordinates of the images of the higher symbols: column s of
+    # hi_mat is psi(s), and hi_mat^-1 = det * adj(hi_mat) for det +-1
     hi_range = range(n, basis.size)
-    cols = [[psi._symbol_images[s].exponents[t] for t in hi_range]
-            for s in hi_range]
+    hi_mat = [[psi._symbol_images[s].exponents[t] for s in hi_range]
+              for t in hi_range]
+    hi_det = _det(hi_mat)
+    if hi_det not in (1, -1):
+        raise QuotientError(f"restriction matrix has determinant {hi_det}, not a unit")
+    hi_inv = [[hi_det * a for a in row] for row in _adjugate(hi_mat)]
 
     images = []
     for jcol in range(n):
@@ -328,8 +318,8 @@ def invert_endomorphism(psi: FreeEndomorphism) -> FreeEndomorphism:
         if any(residue.weight1_part()):
             raise QuotientError("abelianized inverse failed")
         rhs = [inverse(residue).exponents[t] for t in hi_range]
-        v = _solve_unimodular(cols, rhs)
-        corr = collect(basis, [(s, v[idx]) for idx, s in enumerate(hi_range)])
+        v = [sum(a * b for a, b in zip(row, rhs)) for row in hi_inv]
+        corr = collect(basis, list(zip(hi_range, v)))
         images.append(multiply(psi0.images[jcol], corr))
     out = FreeEndomorphism(tuple(images))
     for jcol in range(n):

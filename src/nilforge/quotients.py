@@ -367,7 +367,6 @@ class FiniteQuotient:
             strides[s] = acc
             acc *= self.moduli[s]
         self._strides = tuple(strides)
-        self._tailpow: dict = {}
         self._rules = tuple(
             (self.moduli[s], FreeNilElement(basis, self.tails[s]))
             for s in range(basis.size))
@@ -419,12 +418,8 @@ class FiniteQuotient:
             if tail.is_identity():
                 vec = vec[:s] + (rem,) + suffix
                 continue
-            letters = self._tailpow.get((s, q))
-            if letters is None:
-                letters = power(tail, q).letters()
-                if len(self._tailpow) < 4096:
-                    self._tailpow[s, q] = letters
-            letters = letters + [(t, k) for t, k in enumerate(suffix, s + 1) if k]
+            letters = power(tail, q).letters()
+            letters += [(t, k) for t, k in enumerate(suffix, s + 1) if k]
             vec = _collect_onto(self.basis, vec[:s] + (rem,) + (0,) * len(suffix),
                                 letters)
         return PcElement(self, vec)
@@ -623,15 +618,20 @@ def _group_certificate(q: FiniteQuotient, dense) -> tuple[bool, str]:
     that of the basis, and every relator evaluates to 0.  The class is at
     most c exactly when every left-normed commutator of weight c + 1 in the
     generators and their inverses is 0, since those generate gamma_(c+1).
+    By 1-4 the tables are a group of order n, so `dense.inv`, built as
+    ``g^(n-1)``, is exact: the commutators are `dense.comm` and the
+    relators are evaluated by `lab._word_values`.
     Returns (ok, detail); the detail names the first step that fails.
     """
-    n = dense.n
+    from .lab import _word_values
+
+    n, p = dense.n, dense.p
     idx = np.arange(n, dtype=np.int64)
-    for m, tab in zip(dense._moduli, dense.slabs):
-        if not (tab.shape == (m, n) and np.array_equal(tab[0], idx)
+    for tab in dense.slabs:
+        if not (tab.shape == (p, n) and np.array_equal(tab[0], idx)
                 and np.array_equal(np.sort(tab[1]), idx)
                 and all(np.array_equal(tab[e], tab[1][tab[e - 1]])
-                        for e in range(2, m))):
+                        for e in range(2, p))):
             return False, "slab rows"
     if not np.array_equal(dense.mult(0, idx), idx):
         return False, "right orbit of 0"
@@ -640,52 +640,25 @@ def _group_certificate(q: FiniteQuotient, dense) -> tuple[bool, str]:
     if not all(np.array_equal(rho[lam], lam[rho]) for lam in lams for rho in rhos):
         return False, "left and right translations do not commute"
     cur = np.zeros(n, dtype=np.int64)
-    for lam, exps, m in reversed(list(zip(lams, dense._exps, dense._moduli))):
-        for j in range(m - 1):
-            cur = np.where(exps > j, lam[cur], cur)
+    for lam, st in reversed(list(zip(lams, dense._strides))):
+        digit = idx // st % p
+        for j in range(p - 1):
+            cur = np.where(digit > j, lam[cur], cur)
     if not np.array_equal(cur, idx):
         return False, "left orbit of 0"
     gens = dense.gen_indices()
     if dense.closure(gens).size != n:
         return False, "generator images do not generate"
-    images, inverses = _symbol_images(q, dense)
-    r = q.basis.rank
-    xs = np.array(images[:r] + inverses[:r], dtype=np.int64)
-    ys = np.roll(xs, r)  # ys[i] = xs[i]^-1
-    comms, comms_inv = xs, ys
+    xs = np.array(gens, dtype=np.int64)
+    xs = np.concatenate([xs, dense.inv[xs]])
+    comms = xs
     for _ in range(q.basis.nilpotency_class):
-        # [a, b] = a^-1 b^-1 a b and [a, b]^-1 = b^-1 a^-1 b a
-        a, a_inv = comms[:, None], comms_inv[:, None]
-        comms, comms_inv = (_product(dense, a_inv, ys, a, xs).ravel(),
-                            _product(dense, ys, a_inv, xs, a).ravel())
+        comms = dense.comm(comms[:, None], xs).ravel()
     if comms.any():
         return False, "class exceeds that of the basis"
-    for rel in q.relator_set.relators:
-        acc = 0
-        for s, e in rel.letters():
-            acc = dense.mult(acc, dense.power(images[s] if e > 0 else inverses[s], abs(e)))
-        if acc:
-            return False, "relators do not vanish on the tables"
+    if any(_word_values(q.basis, q.relator_set.relators, dense, gens)):
+        return False, "relators do not vanish on the tables"
     return True, "regular right action, image of F/N"
-
-
-def _product(dense, acc, *factors):
-    for f in factors:
-        acc = dense.mult(acc, f)
-    return acc
-
-
-def _symbol_images(q: FiniteQuotient, dense) -> tuple[list[int], list[int]]:
-    """Indices of the images of all basis symbols in a table group of
-    order n, and of their inverses: a generator image inverts as
-    ``a^(n-1)`` (Lagrange), a bracket ``[hi, lo]`` as ``[lo, hi]``."""
-    images = list(dense.gen_indices())
-    inverses = [dense.power(g, dense.n - 1) for g in images]
-    for sym in q.basis.symbols[q.basis.rank:]:
-        hi, lo = sym.bracket
-        images.append(_product(dense, inverses[hi], inverses[lo], images[hi], images[lo]))
-        inverses.append(_product(dense, inverses[lo], inverses[hi], images[lo], images[hi]))
-    return images, inverses
 
 
 def _normal_forms(q: FiniteQuotient, dense) -> tuple[bool, str]:
@@ -694,24 +667,26 @@ def _normal_forms(q: FiniteQuotient, dense) -> tuple[bool, str]:
 
     Run after `group-certificate`, so the generator images define an
     epimorphism phi: F/N -> table group; with `order-bound` the orders are
-    equal and phi is an isomorphism.  The image of a higher symbol is the
-    bracket ``[hi, lo]`` of its factors' images (`_symbol_images`), and
-    phi(decode(i)) is the product of the symbols' images raised to the
-    digits of i, in pc order.  When that is i for every i,
-    ``mult(i, j) = phi(decode(i) * decode(j))``, which is the index of
-    `pc_multiply`: the tables agree with symbolic reduction on all
-    n^2 pairs, and `reduce` retracts onto the normal forms (Sims,
+    equal and phi is an isomorphism.  The image of each pc symbol is its
+    value under phi (`lab._word_values`), and phi(decode(i)) is the product
+    of those images raised to the digits of i, in pc order.  When that is
+    i for every i, ``mult(i, j) = phi(decode(i) * decode(j))``, which is
+    the index of `pc_multiply`: the tables agree with symbolic reduction on
+    all n^2 pairs, and `reduce` retracts onto the normal forms (Sims,
     Computation with Finitely Presented Groups, ch. 9).
     Returns (ok, detail); the detail names the first index that fails.
     """
+    from .lab import _word_values
+
     n = dense.n
-    images, _inverses = _symbol_images(q, dense)
+    words = [q.basis.generator(s) for s in q.pc_symbols]
+    images = _word_values(q.basis, words, dense, dense.gen_indices())
     idx = np.arange(n, dtype=np.int64)
     got = np.zeros(n, dtype=np.int64)
-    for s in q.pc_symbols:
+    for s, image in zip(q.pc_symbols, images):
         pows = [0]
         for _ in range(1, q.moduli[s]):
-            pows.append(dense.mult(pows[-1], images[s]))
+            pows.append(dense.mult(pows[-1], image))
         digits = (idx // q._strides[s]) % q.moduli[s]
         got = dense.mult(got, np.asarray(pows, dtype=np.int64)[digits])
     bad = np.flatnonzero(got != idx)

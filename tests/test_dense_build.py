@@ -45,6 +45,25 @@ def test_dense_tables_are_int32_digit_slabs():
     assert sum(t.nbytes for t in dense.slabs) == 4 * 7 * 117649 * 6 == 19_765_032
 
 
+def test_dense_group_keeps_no_per_digit_side_arrays():
+    # mult reads the slabs and one int32 row offset per digit; digits are
+    # derived from _strides where needed, so nothing else of size n is kept
+    q = standard_quotient("DH_M_r", 5, 1)
+    dense = DenseGroup(q)
+
+    def nbytes(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        if isinstance(value, (list, tuple)):
+            return sum(nbytes(v) for v in value)
+        return 0
+
+    held = {name: nbytes(v) for name, v in vars(dense).items() if nbytes(v)}
+    assert held == {"slabs": 4 * 5 * q.order * 6, "_offsets": 4 * q.order * 6}
+    for st, off in zip(dense._strides, dense._offsets):
+        assert np.array_equal(off, np.arange(q.order) // st % 5 * q.order)
+
+
 def test_dense_group_rejects_int32_overflow():
     # order 23^6: p * n >= 2^31, refused before any reduction or allocation
     q = standard_quotient("DH_M_r", 23, 1)

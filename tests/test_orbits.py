@@ -210,12 +210,16 @@ def test_lifts_rejects_non_units():
 
 
 def test_invert_endomorphism_round_trip():
-    psi = psi_endomorphism(params(5, -1, 3, -1, F23.element((0, 0, 2, 1, 4)),
-                                  F23.element((0, 0, 0, 2, 1))))
-    inv_psi = invert_endomorphism(psi)
-    for g in (X, Y):
-        assert psi(inv_psi(g)) == g
-        assert inv_psi(psi(g)) == g
+    # abelianization determinant i * k = 1, then -1: both inverses are
+    # det * adj(M), so a dropped or misplaced sign fails the second
+    for i, k in ((-1, -1), (1, -1)):
+        psi = psi_endomorphism(params(5, i, 3, k, F23.element((0, 0, 2, 1, 4)),
+                                      F23.element((0, 0, 0, 2, 1))))
+        assert psi.matrix().det == i * k
+        inv_psi = invert_endomorphism(psi)
+        for g in (X, Y):
+            assert psi(inv_psi(g)) == g
+            assert inv_psi(psi(g)) == g
 
 
 # -- orbit decisions --------------------------------------------------------------------
