@@ -20,15 +20,20 @@ the row of its symbol.
 
 Every generator-image scan - the isomorphisms between quotients and their
 Frattini determinants here, the monomial lifts in `dh` - runs through one
-engine, `_transport_tuples`: it reads the relators from the source
-quotient, checks each one as soon as the generators it mentions have
-images, and evaluates them on bounded grids with `_relator_masks`.  Its
-word evaluator `_word_values` is the one evaluator of words on the tables:
-it also runs the batched psi checks of `orbits.PsiBatch` and evaluates the
-relators and pc symbol images of the consistency proof.
+engine, `_transport_tuples`.  It reads the relators from the source
+quotient.  A relator in one generator filters that generator's candidate
+list once, before any grid.  Every other relator is checked as soon as the
+generators it mentions have images, on bounded grids, and only on the
+cells that the relators tried before it left alive; the relators that have
+ruled out the most cells so far in the scan are tried first.  Its word
+evaluator `_word_values` is the one evaluator of words on the tables, and
+computes only the brackets its words use: it also runs the batched psi
+checks of `orbits.PsiBatch` and evaluates the relators and pc symbol
+images of the consistency proof.
 Bijectivity is one determinant routine, `hall._det`, over entry arrays.
 Enumeration output is deterministic: candidate tuples come out in
-lexicographic index order, so results do not depend on chunking.
+lexicographic index order, so results do not depend on chunking or on
+the order in which relators are tried.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -201,19 +206,24 @@ class DenseGroup:
 
     def power(self, a, e: int):
         aa = np.asarray(a, dtype=np.int64)
+        # checked for every exponent: inv would wrap a negative index, and
+        # e = 0 reaches no mult
+        if aa.size and (aa.min() < 0 or aa.max() >= self.n):
+            raise IndexError(f"element index outside [0, {self.n})")
         scalar = aa.shape == ()
+        if e == 0:
+            return 0 if scalar else np.zeros(aa.shape, dtype=np.int64)
         if e < 0:
             aa = self.inv[aa]
             e = -e
-        res = np.zeros(aa.shape, dtype=np.int64)
-        base = aa
-        while e:
+        res, base = None, aa  # square and multiply from the first factor
+        while True:
             if e & 1:
-                res = self.mult(res, base)
+                res = np.array(base) if res is None else self.mult(res, base)
             e >>= 1
-            if e:
-                base = self.mult(base, base)
-        return int(res) if scalar else res
+            if not e:
+                return int(res) if scalar else res
+            base = self.mult(base, base)
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -443,22 +453,34 @@ _GRID = 1 << 13  # elements per relator-evaluation grid; bounds scan memory
 
 
 def _word_values(basis, words, dtgt: DenseGroup,
-                 images: Sequence) -> Iterator[np.ndarray]:
+                 images: Sequence | Mapping[int, np.ndarray]
+                 ) -> Iterator[np.ndarray]:
     """The value of each word in the target, one word at a time, as an
     int64 index array over the broadcast shape of the ambient generator
-    images.  ``images`` may cover only the first generators, as long as the
-    words mention no other."""
-    syms = dict(enumerate(np.asarray(im, dtype=np.int64) for im in images))
+    images.  ``images`` is a sequence over the first generators, or a
+    mapping from generator to image; the words may mention no other
+    generator.  Only the bracket symbols the words use, and their bracket
+    components, are computed, in symbol order."""
+    syms = {j: np.asarray(im, dtype=np.int64) for j, im in
+            (images.items() if isinstance(images, Mapping) else enumerate(images))}
+    for im in syms.values():  # a letter of exponent 1 reaches no mult
+        if im.size and (im.min() < 0 or im.max() >= dtgt.n):
+            raise IndexError(f"element index outside [0, {dtgt.n})")
     shape = np.broadcast_shapes(*(a.shape for a in syms.values()))
-    for i in range(basis.rank, basis.size):
-        hi, lo = basis.symbols[i].bracket
-        if hi in syms and lo in syms:
-            syms[i] = dtgt.comm(syms[hi], syms[lo])
-    for word in words:
-        acc = np.zeros(shape, dtype=np.int64)
-        for s, e in word.letters():
-            acc = dtgt.mult(acc, dtgt.power(syms[s], e))
-        yield acc
+    letters = [word.letters() for word in words]
+    need = {s for lets in letters for s, _ in lets}
+    for i in range(basis.size - 1, basis.rank - 1, -1):
+        if i in need:
+            need.update(basis.symbols[i].bracket)
+    for i in sorted(need - syms.keys()):
+        syms[i] = dtgt.comm(*(syms[k] for k in basis.symbols[i].bracket))
+    for lets in letters:
+        acc = None
+        for s, e in lets:
+            val = syms[s] if e == 1 else dtgt.power(syms[s], e)
+            acc = val if acc is None else dtgt.mult(acc, val)
+        yield (np.zeros(shape, dtype=np.int64) if acc is None
+               else np.broadcast_to(acc, shape))
 
 
 def _relator_masks(basis, relators, dtgt: DenseGroup,
@@ -474,43 +496,93 @@ def _relator_masks(basis, relators, dtgt: DenseGroup,
     return ok
 
 
+def _vanishes(basis, rel, dtgt: DenseGroup, images) -> np.ndarray:
+    """Where ``rel`` evaluates to the identity, as a bool array over the
+    broadcast shape of ``images`` (`_word_values`)."""
+    (value,) = _word_values(basis, [rel], dtgt, images)
+    return value == 0
+
+
 def _transport_tuples(source: FiniteQuotient, dtgt: DenseGroup,
                       cands: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     """Every assignment of ``cands[j][pos[j]]`` to ambient generator j that
     kills all relators of the source in the target, as (m, rank) arrays of
     candidate positions, in lexicographic order.
 
-    Backtrack by level: a relator's level is the highest ambient generator
-    in the bracket support of its letters, and it is checked as soon as that
-    generator is assigned (Holt, Eick & O'Brien, Handbook of Computational
-    Group Theory, ch. 8).  Level j runs on the grid of partial tuples times
-    ``cands[j]``, at most `_GRID` elements at a time; a lone partial tuple
-    against a larger candidate list is one grid.
+    A relator whose bracket support is one generator j filters ``cands[j]``
+    once, before any grid; positions still index the full lists.  Every
+    other relator is checked by level: its level is the highest generator
+    in its bracket support, and it is checked as soon as that generator is
+    assigned (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    ch. 8).  Level j runs on grids of partial tuples times the kept
+    ``cands[j]``, at most `_GRID` cells at a time; a lone partial tuple
+    against a longer list is one grid.  The first relator of a level runs
+    on the broadcast grid, and each later one only on the cells that
+    survive, gathered as flat image arrays.  Relators are tried in
+    descending order of the cells each has killed so far in this scan
+    (source order on the first grid).  Survivors are the conjunction of
+    the masks, taken row-major, so the order of the relators does not
+    change the output.
     """
     basis = source.basis
-    top = list(range(basis.rank))
+    support: list[set[int]] = [{j} for j in range(basis.rank)]
     for i in range(basis.rank, basis.size):
-        top.append(max(top[k] for k in basis.symbols[i].bracket))
+        hi, lo = basis.symbols[i].bracket
+        support.append(support[hi] | support[lo])
+    keep = [np.arange(len(c)) for c in cands]
     levels: list[list] = [[] for _ in range(basis.rank)]
     for rel in source.relator_set.relators:
-        levels[max((top[s] for s, _ in rel.letters()), default=0)].append(rel)
+        gens = set().union(*(support[s] for s, _ in rel.letters()))
+        if len(gens) == 1:
+            (j,) = gens
+            keep[j] = keep[j][_vanishes(basis, rel, dtgt, {j: cands[j][keep[j]]})]
+        else:
+            levels[max(gens, default=0)].append(rel)
+    kept = [c[k] for c, k in zip(cands, keep)]
+    killed = [np.zeros(len(rels), dtype=np.int64) for rels in levels]
 
-    def extend(partial: np.ndarray) -> Iterator[np.ndarray]:
-        j = partial.shape[1]
-        if j == basis.rank:
-            yield partial
-            return
-        step = max(1, _GRID // max(1, cands[j].size))
-        for start in range(0, partial.shape[0], step):
-            blk = partial[start:start + step]
-            images = [cands[i][blk[:, i, None]] for i in range(j)]
-            mask = _relator_masks(basis, levels[j], dtgt,
-                                  images + [cands[j][None, :]])
-            rows, cols = np.nonzero(mask)
-            if rows.size:
-                yield from extend(np.column_stack([blk[rows], cols]))
+    def survivors(j: int, blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, col) cells of ``blk`` times ``kept[j]`` that kill the
+        relators of level j, row-major."""
+        if not levels[j]:
+            return np.nonzero(np.ones((blk.shape[0], kept[j].size), dtype=bool))
+        first, *rest = np.argsort(-killed[j], kind="stable")
+        imgs = [kept[i][blk[:, i]] for i in range(j)]
+        ok = _vanishes(basis, levels[j][first], dtgt,
+                       [im[:, None] for im in imgs] + [kept[j][None, :]])
+        killed[j][first] += ok.size - np.count_nonzero(ok)
+        rows, cols = np.nonzero(ok)
+        for k in rest:
+            if not rows.size:
+                break
+            alive = _vanishes(basis, levels[j][k], dtgt,
+                              [im[rows] for im in imgs] + [kept[j][cols]])
+            killed[j][k] += alive.size - np.count_nonzero(alive)
+            rows, cols = rows[alive], cols[alive]
+        return rows, cols
 
-    yield from extend(np.zeros((1, 0), dtype=np.int64))
+    widths = [k.size for k in kept]
+    for pos in _descend(np.zeros((1, 0), dtype=np.int64), widths, survivors):
+        yield np.column_stack([k[pos[:, i]] for i, k in enumerate(keep)])
+
+
+def _descend(partial: np.ndarray, widths: list[int],
+             survivors) -> Iterator[np.ndarray]:
+    """Depth-first extension of the partial tuples by one generator per
+    level, ``widths[j]`` candidates at level j, at most `_GRID` cells per
+    ``survivors(j, blk)`` call.  A module-level recursion, so no closure
+    refers to itself and a scan's arrays die with it, collector or not."""
+    j = partial.shape[1]
+    if j == len(widths):
+        yield partial
+        return
+    step = max(1, _GRID // max(1, widths[j]))
+    for start in range(0, partial.shape[0], step):
+        blk = partial[start:start + step]
+        rows, cols = survivors(j, blk)
+        if rows.size:
+            yield from _descend(np.column_stack([blk[rows], cols]), widths,
+                                survivors)
 
 
 def _column_dets(cols: np.ndarray, p: int) -> np.ndarray:

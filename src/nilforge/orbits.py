@@ -14,8 +14,8 @@ three ways:
   an exact inverse endomorphism.
 
 The congruences and the transports are decided two ways.  `PsiBatch`
-reduces psi(x) and psi(y) into F/K once per draw and then checks all draws
-at once by array lookups in K's tables; the campaign runs this.
+evaluates psi(x) and psi(y) on the tables of F/K and then checks all
+draws at once by array lookups in them; the campaign runs this.
 `psi_congruence_suite` and `psi_transports` decide the same checks one draw
 at a time, by collection in F and symbolic reduction, and stay as its
 independent test oracle.
@@ -188,12 +188,6 @@ def psi_transports(src: FiniteQuotient, dst: FiniteQuotient,
     return transports(psi_endomorphism(params).images, src, dst)
 
 
-def _psi_letters(params: PsiParams) -> tuple[list, list]:
-    """The letters of psi(x) = x^i y^j c and psi(y) = y^k d."""
-    return ([(0, params.i), (1, params.j)] + params.corr_x.letters(),
-            [(1, params.k)] + params.corr_y.letters())
-
-
 def _power_table(dense, g: int, m: int) -> np.ndarray:
     """The indices of g^e for e in [0, m), by doubling."""
     tab = np.zeros(1, dtype=np.int64)
@@ -207,11 +201,15 @@ class PsiBatch:
     tables of F/K all at once.
 
     Reduction F -> F/K is a homomorphism, so psi(w) mod K is the word w
-    evaluated at the images of x and y in F/K.  Each draw costs two
-    symbolic reductions, ``images[n] = (psi(x), psi(y)) mod K``; every check
-    after that is an array operation over all draws on ``K.dense``
-    (`lab._word_values`).  `psi_congruence_suite` and `psi_transports`
-    decide the same checks by collection in F and stay as its oracle.
+    evaluated at the images of x and y in F/K.  Those images,
+    ``images[n] = (psi(x), psi(y)) mod K``, are themselves evaluated on
+    ``K.dense``: psi(x) = x^i y^j c and psi(y) = y^k d are products of
+    powers of Hall symbols, one letter slot per symbol of c or d in symbol
+    order, and each slot is a lookup in the power table of that symbol's
+    image, at its exponent mod the image's order.  Every check after that
+    is an array operation over all draws (`lab._word_values`).
+    `psi_congruence_suite` and `psi_transports` decide the same checks by
+    collection in F and stay as its oracle.
     """
 
     def __init__(self, K: FiniteQuotient, params):
@@ -219,9 +217,24 @@ class PsiBatch:
         self.params = tuple(params)
         if any(pr.p != K.prime for pr in self.params):
             raise ValueError("parameter prime mismatch")
-        self.images = np.array(
-            [[K.reduce_letters(w).index() for w in _psi_letters(pr)]
-             for pr in self.params], dtype=np.int64).reshape(-1, 2)
+        basis, dense = K.basis, K.dense
+        syms = range(basis.size)
+        tabs = [_power_table(dense, int(g), int(dense.orders[g])) for g in
+                _word_values(basis, [basis.generator(s) for s in syms], dense,
+                             dense.gen_indices())]
+        words = (((0, 1, *syms), [[pr.i, pr.j, *pr.corr_x.exponents]
+                                  for pr in self.params]),
+                 ((1, *syms), [[pr.k, *pr.corr_y.exponents]
+                               for pr in self.params]))
+        images = []
+        for slots, exps in words:
+            exps = np.array(exps, dtype=np.int64).reshape(-1, len(slots))
+            acc, *rest = (tabs[s][exps[:, t] % tabs[s].size]
+                          for t, s in enumerate(slots))
+            for val in rest:
+                acc = dense.mult(acc, val)
+            images.append(acc)
+        self.images = np.stack(images, axis=1)
 
     def _values(self, words, sel=slice(None)) -> np.ndarray:
         """The (draws, words) indices of psi(w) mod K, for the draws

@@ -106,3 +106,38 @@ def test_inverse_table_needs_no_order_table():
     assert inv.dtype == np.int64
     assert (dense.mult(inv, idx) == 0).all() and (dense.mult(idx, inv) == 0).all()
     assert np.array_equal(inv[inv], idx)
+
+
+def test_power_rejects_out_of_range_indices_for_every_exponent():
+    # inv[-1] wraps and e = 0 reaches no mult, so the check is on entry
+    dense = standard_quotient("N_r", 5, 1).dense
+    n = dense.n
+    for a in (-1, n, np.array([0, -1]), np.array([n, 0])):
+        for e in (-3, -1, 0, 1, 2):
+            with pytest.raises(IndexError):
+                dense.power(a, e)
+    assert dense.power(n - 1, 0) == 0
+
+
+def test_power_starts_from_the_first_factor():
+    # square and multiply from the base itself: (bit length - 1) squarings
+    # and (popcount - 1) products, no multiplication by the identity
+    dense = standard_quotient("N_r", 5, 1).dense
+    inv = dense.inv  # built before the count
+    calls = []
+    mult = dense.mult
+    dense.mult = lambda a, b: calls.append(1) or mult(a, b)
+    idx = np.arange(dense.n)
+    try:
+        for e in (1, 2, 3, 5, 8, 24, -1, -6):
+            calls.clear()
+            got = dense.power(idx, e)
+            assert len(calls) == abs(e).bit_length() + bin(abs(e)).count("1") - 2
+            base = idx if e > 0 else inv
+            want = base
+            for _ in range(abs(e) - 1):
+                want = mult(want, base)
+            assert np.array_equal(got, want), e
+            assert got is not idx
+    finally:
+        del dense.mult

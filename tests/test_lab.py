@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nilforge import lab
-from nilforge.dh import matrix_lift_search
+from nilforge.dh import _lift_indices, matrix_lift_search
 from nilforge.hall import FreeEndomorphism, builtin_basis, power
 from nilforge.lab import (
     FrattiniMatrix,
@@ -419,3 +419,92 @@ def test_det_scan_counts_scanned_tuples_off_rank_two():
         F32.generator(3), F32.generator(4), F32.generator(5)), "C2^3"))
     assert q.order == 8
     assert isomorphism_det_scan(q, q) == IsoScanSummary(343, 168, (1,))
+
+
+def _engine_case(k):
+    """(source, target, candidate lists): an isomorphism scan, the same
+    scan with y over every element in reverse index order (so the
+    prefilter on y^5 keeps positions 3000 and up), and a monomial lift
+    search."""
+    G, H = standard_quotient("N_r", 5, 1), standard_quotient("N_r", 5, 2)
+    if k < 2:
+        cands = lab._image_candidates(G, H)
+        return G, H, cands if k == 0 else [cands[0][:40],
+                                           np.arange(H.order)[::-1].copy()]
+    S, T = standard_quotient("DH_M_r", 3, 1), standard_quotient("DH_M_r", 3, 2)
+    return S, T, [_lift_indices(T, np.ndindex(3, 3, 3))] * 3
+
+
+def _positions(source, target, cands):
+    return np.concatenate(list(lab._transport_tuples(source, target.dense, cands)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_engine_matches_brute_force(k):
+    # one relator mask over the full product of the candidate lists, with
+    # no prefilter, levels or survivors; argwhere is lexicographic
+    source, target, cands = _engine_case(k)
+    grid = [c.reshape((1,) * j + (-1,) + (1,) * (len(cands) - j - 1))
+            for j, c in enumerate(cands)]
+    mask = lab._relator_masks(source.basis, source.relator_set.relators,
+                              target.dense, grid)
+    want = np.argwhere(mask)
+    assert 0 < len(want) < mask.size
+    assert np.array_equal(_positions(source, target, cands), want)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_engine_output_independent_of_relator_order(k):
+    source, target, cands = _engine_case(k)
+    rels = source.relator_set
+    rev = make_quotient(RelatorSet(rels.basis, rels.relators[::-1], "rev"))
+    assert rev.order == source.order
+    assert np.array_equal(_positions(rev, target, cands),
+                          _positions(source, target, cands))
+
+
+def test_searches_leave_no_memory_to_the_cyclic_collector():
+    # with the collector off, whatever a scan leaves in reference cycles
+    # stays allocated; a repeat scan must leave almost nothing behind
+    q1, q2 = standard_quotient("N_r", 5, 1), standard_quotient("N_r", 5, 2)
+    m1, m2 = standard_quotient("DH_M_r", 5, 1), standard_quotient("DH_M_r", 5, 2)
+    for scan in (lambda: isomorphism_det_scan(q1, q2),
+                 lambda: matrix_lift_search(m2, m1)):
+        scan()  # builds and caches the tables
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            scan()
+            left, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 256 * 1024
+
+
+def test_word_values_computes_only_the_brackets_its_words_use():
+    q = standard_quotient("N_r", 5, 1)
+    dense = q.dense
+    calls = []
+    comm = dense.comm
+    dense.comm = lambda a, b: calls.append(1) or comm(a, b)
+    gens = np.array(dense.gen_indices())
+    try:
+        # [y,x] is one commutator; [y,x,x] and [y,x,y] are not needed
+        (value,) = lab._word_values(F23, [F23.generator(2)], dense, gens)
+        assert len(calls) == 1
+        assert value == comm(gens[1], gens[0])
+        # a word in y alone needs no image of x
+        (value,) = lab._word_values(F23, [power(Y, 3)], dense, {1: gens[1]})
+        assert len(calls) == 1 and value == dense.power(gens[1], 3)
+    finally:
+        del dense.comm
+
+
+def test_word_values_rejects_out_of_range_images():
+    # a letter of exponent 1 is the image itself and reaches no mult
+    dense = standard_quotient("N_r", 5, 1).dense
+    for images in ([0, dense.n], [-1, 0], {1: np.array([0, -1])}):
+        with pytest.raises(IndexError):
+            list(lab._word_values(F23, [Y], dense, images))

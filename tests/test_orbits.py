@@ -140,6 +140,20 @@ def test_psi_batch_matches_symbolic_oracle(p, rs):
                               for ps, r, s in draws]
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_psi_batch_images_match_symbolic_reduction(p):
+    # the images are evaluated on K's tables, slot by slot from power
+    # tables of the Hall symbol images; the oracle collects psi(x) and
+    # psi(y) in F and reduces them into K
+    K = standard_quotient("K", p)
+    draws = [ps for ps, _, _ in _draws(p, (1,), 100, seed=3 * p)]
+    draws.append(params(p, 1, 0, 1))  # empty corrections: zero-exponent slots
+    want = [[K.reduce(im).index() for im in psi_endomorphism(ps).images]
+            for ps in draws]
+    assert PsiBatch(K, draws).images.tolist() == want
+    assert PsiBatch(K, []).images.shape == (0, 2)
+
+
 def test_psi_batch_unrestricted_image_fails_in_both_engines():
     # psi(y) = x*y is outside the restricted shape: write y^-1 x y into the
     # correction of y, past the validation of PsiParams
